@@ -29,7 +29,6 @@ from .contour import (
     contour_ct,
     converged,
     default_epsilon,
-    oracle_report,
 )
 from .ctengine import CTOrder, ct_iterated, factored_loads
 from .errors import CTForgeError
@@ -83,11 +82,9 @@ def _report_line(report, fmt: str) -> str:
             f"lhs={report.lhs} rhs={report.rhs} {flag} ({report.elapsed_ms:.1f} ms)")
 
 
-def _verify_json_entry(obj: dict) -> dict:
-    return verify(spec_from_json(obj)).to_json()
-
-
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise CTForgeError(f"--jobs must be at least 1, got {args.jobs}")
     if args.grid:
         with open(args.grid, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
@@ -98,8 +95,9 @@ def _cmd_verify(args) -> int:
             if spec.n > _max_n():
                 raise CTForgeError(
                     f"n={spec.n} exceeds CT_FORGE_MAX_N={_max_n()}")
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(verify, specs))
         else:
             reports = [verify(spec) for spec in specs]
@@ -140,9 +138,9 @@ def _cmd_oracle(args) -> int:
     fine_cfg = cfg.doubled()
     fine = contour_ct(spec, fine_cfg)
     is_converged = converged(coarse, fine, 1e-6)
-    payload = oracle_report(fine, fine_cfg, is_converged)
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps({"re": fine.real, "im": fine.imag, "N": fine_cfg.points,
+                          "epsilon": fine_cfg.epsilon, "converged": is_converged}))
     else:
         print(f"{spec.family.value} n={spec.n} a={spec.a} b={spec.b} twoc={spec.twoc}: "
               f"re={fine.real!r} im={fine.imag!r} N={fine_cfg.points} "

@@ -360,12 +360,3 @@ def chain_spread(values: Dict[ChainForm, complex]) -> float:
             worst = max(worst, abs(vs[i] - vs[j]) / scale)
     return worst
 
-
-def oracle_report(value: complex, cfg: QuadratureConfig, is_converged: bool) -> dict:
-    return {
-        "re": value.real,
-        "im": value.imag,
-        "N": cfg.points,
-        "epsilon": cfg.epsilon,
-        "converged": is_converged,
-    }

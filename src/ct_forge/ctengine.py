@@ -53,24 +53,8 @@ class CTOrder:
             raise ValueError("variable indices are nonnegative")
         object.__setattr__(self, "sequence", seq)
 
-    @classmethod
-    def default(cls, n: int) -> "CTOrder":
-        return cls(tuple(range(n)))
-
     def is_default(self) -> bool:
         return self.sequence == tuple(range(len(self.sequence)))
-
-
-_binom_cache: Dict[Tuple[int, int], int] = {}
-
-
-def _binom(n: int, k: int) -> int:
-    key = (n, k)
-    v = _binom_cache.get(key)
-    if v is None:
-        v = math.comb(n, k)
-        _binom_cache[key] = v
-    return v
 
 
 @dataclass(frozen=True)
@@ -87,7 +71,7 @@ class FactoredRational:
         scale = Fraction(1)
         merged: Dict[Poly, int] = {}
         for base, exp in den:
-            if not isinstance(exp, int) or exp <= 0:
+            if isinstance(exp, bool) or not isinstance(exp, int) or exp <= 0:
                 raise ValueError(f"factor exponents must be positive integers, got {exp!r}")
             if base.is_zero():
                 raise ZeroDivisionError("zero polynomial in denominator")
@@ -102,10 +86,6 @@ class FactoredRational:
             return cls(Poly.zero(), ())
         factors = tuple(sorted(merged.items(), key=lambda f: (str(f[0]), f[1])))
         return cls(num, factors)
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "FactoredRational":
-        return cls.create(p)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -125,17 +105,6 @@ class FactoredRational:
         val = self.num.constant_coeff()
         for base, exp in self.den:
             val /= base.constant_coeff() ** exp
-        return val
-
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        if not isinstance(other, FactoredRational):
-            return NotImplemented
-        return FactoredRational.create(self.num * other.num, self.den + other.den)
-
-    def eval_complex(self, point) -> complex:
-        val = self.num.eval_complex(point)
-        for base, exp in self.den:
-            val /= base.eval_complex(point) ** exp
         return val
 
     def __str__(self) -> str:
@@ -223,7 +192,7 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
         fac_series: List[Poly] = []
         neg_h1_pow = Poly.one()
         for t in range(M + 1):
-            fac_series.append(_binom(exp + t - 1, t) * neg_h1_pow * (h0 ** (M - t)))
+            fac_series.append(math.comb(exp + t - 1, t) * neg_h1_pow * (h0 ** (M - t)))
             neg_h1_pow = neg_h1_pow * (-h1)
         new_acc: Dict[int, Poly] = {}
         for d, p in acc.items():
@@ -284,14 +253,6 @@ def factored_equivalent(f: FactoredRational, g: FactoredRational) -> bool:
     return left == right
 
 
-def denominator_poly(f: FactoredRational) -> Poly:
-    """Expanded denominator; exponential in factor count, for display/tests."""
-    p = Poly.one()
-    for base, exp in f.den:
-        p = p * base ** exp
-    return p
-
-
 # -- JSON interchange ------------------------------------------------------
 
 def factored_to_json(f: FactoredRational) -> dict:
@@ -304,12 +265,12 @@ def factored_to_json(f: FactoredRational) -> dict:
 def factored_from_json(obj: dict) -> FactoredRational:
     try:
         num = parse_poly(obj["num"])
-        den = [(parse_poly(base), int(exp)) for base, exp in obj["den"]]
+        den = [(parse_poly(base), exp) for base, exp in obj["den"]]
+        return FactoredRational.create(num, den)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed factored-rational object: {exc}") from exc
-    return FactoredRational.create(num, den)
 
 
 def factored_dumps(f: FactoredRational) -> str:

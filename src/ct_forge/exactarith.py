@@ -22,14 +22,6 @@ class HalfInt:
 
     twice: int
 
-    @classmethod
-    def of_int(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     @property
     def is_nonpositive_integer(self) -> bool:
         return self.twice % 2 == 0 and self.twice <= 0
@@ -100,6 +92,14 @@ def catalan(k: int) -> Fraction:
     return Fraction(math.comb(2 * k, k), k + 1)
 
 
+def catalan_product(n: int) -> Fraction:
+    """prod_{k=1}^{n} Cat(k); the empty product 1 for n < 1."""
+    prod = Fraction(1)
+    for k in range(1, n + 1):
+        prod *= catalan(k)
+    return prod
+
+
 def _gamma_quotient(num_twice: Iterable[int],
                     den_twice: Iterable[int]) -> Optional[Fraction]:
     """prod Gamma(num)/prod Gamma(den), arguments in twice-units.
@@ -125,6 +125,23 @@ def _gamma_quotient(num_twice: Iterable[int],
     return acc.to_fraction()
 
 
+def _morris_form(n: int, twoa: int, twob: int, twoc: int) -> Fraction:
+    """The Gamma product of morris_rhs with a, b and c in twice-units, so
+    that b may be a half integer; 0 when a denominator Gamma is at a pole."""
+    num = []
+    den = []
+    for j in range(n):
+        num.append(twoa + twob + (n - 1 + j) * twoc)
+        num.append(twoc)
+        den.append(twoa + j * twoc)
+        den.append(twoc + j * twoc)
+        den.append(twob + j * twoc + 2)
+    q = _gamma_quotient(num, den)
+    if q is None:
+        return Fraction(0)
+    return q / math.factorial(n)
+
+
 def morris_rhs(n: int, a: int, b: int, twoc: int) -> Fraction:
     """Gamma-product closed form for the n-variable constant term of
     prod (1-x_i)^{-a} x_i^{-b} prod_{i<j} (x_j-x_i)^{-2c} with c = twoc/2:
@@ -138,18 +155,7 @@ def morris_rhs(n: int, a: int, b: int, twoc: int) -> Fraction:
         raise DomainError("morris_rhs requires a >= 0 and b >= 0")
     if twoc < 1:
         raise DomainError("morris_rhs requires twoc >= 1")
-    num = []
-    den = []
-    for j in range(n):
-        num.append(2 * (a + b) + (n - 1 + j) * twoc)
-        num.append(twoc)
-        den.append(2 * a + j * twoc)
-        den.append(twoc + j * twoc)
-        den.append(2 * b + j * twoc + 2)
-    q = _gamma_quotient(num, den)
-    if q is None:
-        return Fraction(0)
-    return q / math.factorial(n)
+    return _morris_form(n, 2 * a, 2 * b, twoc)
 
 
 def mm_rhs(n: int) -> Fraction:
@@ -159,16 +165,13 @@ def mm_rhs(n: int) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"mm_rhs requires n >= 1, got {n}")
-    prod = Fraction(2) ** (n * n)
-    for k in range(1, n + 1):
-        prod *= catalan(k)
-    return prod
+    return Fraction(2) ** (n * n) * catalan_product(n)
 
 
 def thm_rhs(n: int, a: int, twoc: int) -> Fraction:
     """Closed form 2^(2an + 4c*binom(n,2) - 2n) * (1/n!) *
     prod_{j=0}^{n-1} G(a-1/2+(n-1+j)c) G(c) / [G(1/2+jc) G(c+jc) G(a+jc)]
-    with c = twoc/2.
+    with c = twoc/2: 2^e times the Morris form at b = -1/2.
 
     a = 0 collapses to 0 through the reciprocal-Gamma convention.
     """
@@ -178,16 +181,5 @@ def thm_rhs(n: int, a: int, twoc: int) -> Fraction:
         raise DomainError("thm_rhs requires a >= 0")
     if twoc < 1:
         raise DomainError("thm_rhs requires twoc >= 1")
-    num = []
-    den = []
-    for j in range(n):
-        num.append(2 * a - 1 + (n - 1 + j) * twoc)
-        num.append(twoc)
-        den.append(1 + j * twoc)
-        den.append(twoc + j * twoc)
-        den.append(2 * a + j * twoc)
-    q = _gamma_quotient(num, den)
-    if q is None:
-        return Fraction(0)
     exponent = 2 * a * n + 2 * twoc * (n * (n - 1) // 2) - 2 * n
-    return Fraction(2) ** exponent * q / math.factorial(n)
+    return Fraction(2) ** exponent * _morris_form(n, 2 * a, -1, twoc)

@@ -29,15 +29,15 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
-from typing import Optional
+from math import factorial
+from typing import Callable, Dict, Optional, Tuple
 
 from .ctengine import CTOrder, FactoredRational, ct_iterated
 from .errors import DomainError, ParseError
 from .exactarith import (
     GammaValue,
     HalfInt,
-    catalan,
+    catalan_product,
     gamma_half,
     mm_rhs,
     morris_rhs,
@@ -53,19 +53,44 @@ class IdentityFamily(str, Enum):
     THM = "thm"
 
 
-# Families with pinned parameters reject any other explicit value; None
-# means "use the family default".  morris and thm keep (a, twoc) free.
-_PINNED = {
-    IdentityFamily.CRY: {"a": 2, "b": 0, "twoc": 1},
-    IdentityFamily.MM: {"a": 2, "b": 0, "twoc": 1},
-    IdentityFamily.MORRIS: {},
-    IdentityFamily.THM: {"b": 0},
+@dataclass(frozen=True)
+class _Family:
+    """One catalog row: everything that defines a family."""
+
+    pinned: Dict[str, int]      # fixed parameters; any other explicit value is refused
+    defaults: Dict[str, int]    # the free parameters' values when not given
+    # exponents of x_j, (1 - x_j) and each pair factor; 0 drops the factor
+    exponents: Callable[["IdentitySpec"], Tuple[int, int, int]]
+    mixed: bool                 # whether pairs also carry (1 - x_k - x_j)
+    rhs: Callable[["IdentitySpec"], Fraction]
+    min_a: int = 0              # the least a the family admits
+
+
+# mm states its exponents literally rather than as thm at a = 2, so that
+# the mm closed form is checked against an integrand built on its own.
+_CATALOG = {
+    IdentityFamily.CRY: _Family(
+        pinned={"a": 2, "b": 0, "twoc": 1}, defaults={},
+        exponents=lambda s: (0, 2, 1), mixed=False,
+        rhs=lambda s: catalan_product(s.n)),
+    IdentityFamily.MM: _Family(
+        pinned={"a": 2, "b": 0, "twoc": 1}, defaults={},
+        exponents=lambda s: (1, 2, 1), mixed=True,
+        rhs=lambda s: mm_rhs(s.n)),
+    IdentityFamily.MORRIS: _Family(
+        pinned={}, defaults={"a": 2, "b": 0, "twoc": 1},
+        exponents=lambda s: (s.b, s.a, s.twoc), mixed=False,
+        rhs=lambda s: morris_rhs(s.n, s.a, s.b, s.twoc)),
+    IdentityFamily.THM: _Family(
+        pinned={"b": 0}, defaults={"a": 2, "twoc": 1},
+        exponents=lambda s: (s.a - 1, s.a, s.twoc), mixed=True,
+        rhs=lambda s: thm_rhs(s.n, s.a, s.twoc), min_a=1),
 }
 
-_DEFAULTS = {
-    IdentityFamily.MORRIS: {"a": 2, "b": 0, "twoc": 1},
-    IdentityFamily.THM: {"a": 2, "b": 0, "twoc": 1},
-}
+
+def _is_int(value) -> bool:
+    """A JSON or Python integer; bools are refused, not read as 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -84,49 +109,37 @@ class IdentitySpec:
                 family = IdentityFamily(str(family).lower())
             except ValueError:
                 raise DomainError(f"unknown identity family {family!r}") from None
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise DomainError(f"n must be a positive integer, got {n!r}")
         params = {"a": a, "b": b, "twoc": twoc}
-        pinned = _PINNED[family]
-        defaults = _DEFAULTS.get(family, {})
+        row = _CATALOG[family]
         resolved = {}
         for name, given in params.items():
-            if name in pinned:
-                if given is not None and given != pinned[name]:
+            if name in row.pinned:
+                if given is not None and (not _is_int(given) or given != row.pinned[name]):
                     raise DomainError(
-                        f"{family.value} fixes {name}={pinned[name]}; got {given}")
-                resolved[name] = pinned[name]
+                        f"{family.value} fixes {name}={row.pinned[name]}; got {given}")
+                resolved[name] = row.pinned[name]
             else:
-                resolved[name] = defaults[name] if given is None else given
+                resolved[name] = row.defaults[name] if given is None else given
         a, b, twoc = resolved["a"], resolved["b"], resolved["twoc"]
         for name, val in (("a", a), ("b", b), ("twoc", twoc)):
-            if not isinstance(val, int):
+            if not _is_int(val):
                 raise DomainError(f"{name} must be an integer, got {val!r}")
         if a < 0 or b < 0:
             raise DomainError("a and b must be nonnegative")
         if twoc < 1:
             raise DomainError("twoc must be a positive integer (twoc = 2c)")
-        if family is IdentityFamily.THM and a < 1:
-            raise DomainError("thm requires a >= 1")
+        if a < row.min_a:
+            raise DomainError(f"{family.value} requires a >= {row.min_a}")
         return cls(family, n, a, b, twoc)
 
 
 def build_integrand(spec: IdentitySpec) -> FactoredRational:
     """The family integrand as a FactoredRational with numerator 1."""
     n = spec.n
-    fam = spec.family
-    singles = []  # (base, exp) per variable j, exp may come out 0
-    if fam is IdentityFamily.CRY:
-        mono_exp, one_minus_exp = 0, 2
-    elif fam is IdentityFamily.MM:
-        mono_exp, one_minus_exp = 1, 2
-    elif fam is IdentityFamily.MORRIS:
-        mono_exp, one_minus_exp = spec.b, spec.a
-    else:
-        mono_exp, one_minus_exp = spec.a - 1, spec.a
-    pair_exp = spec.twoc if fam in (IdentityFamily.MORRIS, IdentityFamily.THM) else 1
-    with_mixed = fam in (IdentityFamily.MM, IdentityFamily.THM)
-
+    row = _CATALOG[spec.family]
+    mono_exp, one_minus_exp, pair_exp = row.exponents(spec)
     one = Poly.one()
     factors = []
     for j in range(n):
@@ -139,23 +152,13 @@ def build_integrand(spec: IdentitySpec) -> FactoredRational:
         for k in range(j + 1, n):
             xj, xk = Poly.var(j), Poly.var(k)
             factors.append((xk - xj, pair_exp))
-            if with_mixed:
+            if row.mixed:
                 factors.append((one - xk - xj, pair_exp))
     return FactoredRational.create(one, factors)
 
 
 def rhs(spec: IdentitySpec) -> Fraction:
-    fam = spec.family
-    if fam is IdentityFamily.CRY:
-        prod = Fraction(1)
-        for k in range(1, spec.n + 1):
-            prod *= catalan(k)
-        return prod
-    if fam is IdentityFamily.MM:
-        return mm_rhs(spec.n)
-    if fam is IdentityFamily.MORRIS:
-        return morris_rhs(spec.n, spec.a, spec.b, spec.twoc)
-    return thm_rhs(spec.n, spec.a, spec.twoc)
+    return _CATALOG[spec.family].rhs(spec)
 
 
 @dataclass(frozen=True)
@@ -203,11 +206,7 @@ def check_cat_identity(n: int) -> bool:
         acc = acc / gamma_half(HalfInt(4 + j))
         acc = acc / gamma_half(HalfInt(1 + j))
         acc = acc / gamma_half(HalfInt(2 + j))
-    left = acc.to_fraction() / factorial(n)
-    right = Fraction(1)
-    for k in range(1, n + 1):
-        right *= catalan(k)
-    return left == right
+    return acc.to_fraction() / factorial(n) == catalan_product(n)
 
 
 def check_ratio_identity(n: int) -> bool:
@@ -217,13 +216,6 @@ def check_ratio_identity(n: int) -> bool:
     q = gamma_half(HalfInt(2 * n + 2)) * gamma_half(HalfInt(1))
     q = q / gamma_half(HalfInt(n + 2)) / gamma_half(HalfInt(n + 1))
     return q.to_fraction() == Fraction(2) ** n
-
-
-def pair_factor_count(spec: IdentitySpec) -> int:
-    """How many distinct pair factors build_integrand emits: one per pair
-    for cry/morris, two per pair for mm/thm."""
-    pairs = comb(spec.n, 2)
-    return 2 * pairs if spec.family in (IdentityFamily.MM, IdentityFamily.THM) else pairs
 
 
 # -- JSON interchange ------------------------------------------------------

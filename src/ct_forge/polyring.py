@@ -7,7 +7,7 @@ monomials to nonzero Fraction coefficients; the zero polynomial is the empty
 map, which makes canonical equality plain dict equality.
 
 Coefficient arithmetic is always exact; the single floating-point path is
-`eval_complex`, used only by the numeric cross-check.
+`contour._poly_on_grid`, used only by the numeric cross-check.
 """
 
 from __future__ import annotations
@@ -35,13 +35,9 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(d.items()))
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
 def _mono_sort_key(m: Monomial):
     # graded order: total degree first, then the exponent tuple itself
-    return (_mono_degree(m), m)
+    return (sum(e for _, e in m), m)
 
 
 def _render_mono(m: Monomial) -> str:
@@ -108,9 +104,6 @@ class Poly:
 
     def variables(self) -> frozenset:
         return frozenset(v for m in self._terms for v, _ in m)
-
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self._terms), default=0)
 
     def degree_in(self, v: int) -> int:
         deg = 0
@@ -233,16 +226,6 @@ class Poly:
         inv = 1 / content
         return content, Poly._raw({m: c * inv for m, c in self._terms.items()})
 
-    def eval_complex(self, point: Mapping[int, complex]) -> complex:
-        """Floating-point evaluation; every variable must be assigned."""
-        total = 0j
-        for m, c in self._terms.items():
-            val = complex(c)
-            for v, e in m:
-                val *= point[v] ** e
-            total += val
-        return total
-
     # -- text ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -275,24 +258,6 @@ def _coerce(value) -> "Poly":
     if isinstance(value, (int, Fraction)):
         return Poly.constant(value)
     return NotImplemented
-
-
-# -- spec-level operation aliases ----------------------------------------
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def coeff_of(p: Poly, v: int, k: int) -> Poly:
-    return p.coeff_of(v, k)
-
-
-def eval_complex(p: Poly, point: Mapping[int, complex]) -> complex:
-    return p.eval_complex(point)
 
 
 # -- parsing -------------------------------------------------------------

@@ -30,6 +30,11 @@ class TestUsageErrors:
         code, _, err = run(capsys, ["verify", "--family", "qjacobi", "--n", "2"])
         assert code == 2
 
+    def test_jobs_below_one_without_grid(self, capsys):
+        code, out, err = run(capsys, ["verify", "--family", "mm", "--n", "2",
+                                      "--jobs", "0"])
+        assert code == 2 and out == "" and "--jobs" in err
+
     def test_conflicting_pin(self, capsys):
         code, _, err = run(capsys, ["verify", "--family", "cry", "--n", "2", "--a", "3"])
         assert code == 2 and "error:" in err
@@ -129,6 +134,24 @@ class TestGrid:
         code, _, err = run(capsys, ["verify", "--grid", str(grid_file)])
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one(self, capsys, tmp_path, jobs):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(self.GRID[:1]))
+        code, out, err = run(capsys, ["verify", "--grid", str(grid_file),
+                                      "--jobs", jobs])
+        assert code == 2 and out == "" and "--jobs" in err
+
+    @pytest.mark.parametrize("entry", [
+        {"family": "mm", "n": True}, {"family": "morris", "n": 2, "a": True},
+        {"family": "morris", "n": 2, "b": False}, {"family": "thm", "n": 2, "twoc": True},
+    ])
+    def test_bool_parameters(self, capsys, tmp_path, entry):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([entry]))
+        code, out, err = run(capsys, ["verify", "--grid", str(grid_file)])
+        assert code == 2 and out == "" and "integer" in err
+
     def test_missing_grid_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", "--grid", str(tmp_path / "nope.json")])
         assert code == 2
@@ -170,6 +193,21 @@ class TestCt:
         code, out, err = run(capsys, ["ct", path, "--order", "2,1"])
         assert code == 0 and out.strip() == "-2" and "warning" in err
 
+    def test_fractional_exponent(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", 2.9], ["x1", 1]]})
+        code, out, err = run(capsys, ["ct", path])
+        assert code == 2 and out == "" and "2.9" in err
+
+    def test_bool_exponent(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", True]]})
+        code, out, err = run(capsys, ["ct", path])
+        assert code == 2 and out == "" and "True" in err
+
+    def test_zero_denominator_base(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"num": "1", "den": [["x1 - x1", 1]]})
+        code, out, err = run(capsys, ["ct", path])
+        assert code == 2 and out == "" and "zero polynomial" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["ct", str(tmp_path / "absent.json")])
         assert code == 2
@@ -199,6 +237,7 @@ class TestOracle:
         payload = json.loads(out)
         assert set(payload) == {"re", "im", "N", "epsilon", "converged"}
         assert payload["N"] == 128 and payload["converged"] is True
+        assert payload["epsilon"] == 0.025
         assert abs(payload["re"] - 2.0) < 1e-6
 
     def test_unconverged_exit(self, capsys):

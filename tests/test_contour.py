@@ -20,7 +20,6 @@ from ct_forge.contour import (
     _chosen_radii,
     converged,
     default_epsilon,
-    oracle_report,
 )
 from ct_forge.ctengine import FactoredRational, ct_iterated
 from ct_forge.errors import ConfigError
@@ -197,9 +196,3 @@ class TestChain:
         vals = {form: 5.0 + 0j for form in ChainForm}
         assert chain_spread(vals) == 0.0
 
-
-class TestOracleReport:
-    def test_payload(self):
-        payload = oracle_report(31.5 + 2e-9j, QuadratureConfig(0.02, 128), True)
-        assert payload == {"re": 31.5, "im": 2e-9, "N": 128,
-                           "epsilon": 0.02, "converged": True}

@@ -1,6 +1,7 @@
 """Tests for the exact Gamma/Catalan arithmetic."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -41,12 +42,7 @@ class TestGammaQuotient:
 
 
 class TestHalfInt:
-    def test_of_int(self):
-        assert HalfInt.of_int(3).twice == 6
-
     def test_classification(self):
-        assert HalfInt(4).is_integer
-        assert not HalfInt(3).is_integer
         assert HalfInt(0).is_nonpositive_integer
         assert HalfInt(-2).is_nonpositive_integer
         assert not HalfInt(-1).is_nonpositive_integer  # -1/2 is not an integer
@@ -205,3 +201,29 @@ class TestThmRhs:
     def test_domain(self, args):
         with pytest.raises(DomainError):
             thm_rhs(*args)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_is_morris_form_at_b_minus_half(self, n):
+        # thm_rhs = 2^e times the Morris product at b = -1/2, the product
+        # transcribed here with gamma_half alone; a = 0 gives 0 on both sides
+        for a in range(5):
+            for twoc in range(1, 5):
+                e = 2 * a * n + twoc * n * (n - 1) - 2 * n
+                assert thm_rhs(n, a, twoc) == 2 ** e * _morris_at_half_b(n, a, twoc)
+
+
+def _morris_at_half_b(n, a, twoc):
+    """(1/n!) prod_j G(a+b+(n-1+j)c) G(c) / [G(a+jc) G(c+jc) G(b+jc+1)]
+    at b = -1/2, in twice-units; 0 when a denominator Gamma is a pole."""
+    num, den = [], []
+    for j in range(n):
+        num += [2 * a - 1 + (n - 1 + j) * twoc, twoc]
+        den += [2 * a + j * twoc, twoc + j * twoc, 1 + j * twoc]
+    if any(t <= 0 and t % 2 == 0 for t in den):
+        return Fraction(0)
+    acc = GammaValue(Fraction(1), 0)
+    for t in num:
+        acc = acc * gamma_half(HalfInt(t))
+    for t in den:
+        acc = acc / gamma_half(HalfInt(t))
+    return acc.to_fraction() / factorial(n)

@@ -16,7 +16,6 @@ from ct_forge.identities import (
     build_integrand,
     check_cat_identity,
     check_ratio_identity,
-    pair_factor_count,
     rhs,
     spec_dumps,
     spec_from_json,
@@ -27,6 +26,25 @@ from ct_forge.polyring import Poly
 
 x1 = Poly.var(0)
 one = Poly.one()
+
+# Denominators of build_integrand at the family defaults, written out by
+# hand, in the order FactoredRational.create sorts them.  At their
+# defaults (a=2, b=0, twoc=1) morris has cry's integrand and thm has mm's.
+_CRY_DEN = {
+    1: [("1 - x1", 2)],
+    2: [("-x1 + x2", 1), ("1 - x1", 2), ("1 - x2", 2)],
+    3: [("-x1 + x2", 1), ("-x1 + x3", 1), ("-x2 + x3", 1),
+        ("1 - x1", 2), ("1 - x2", 2), ("1 - x3", 2)],
+}
+_MM_DEN = {
+    1: [("1 - x1", 2), ("x1", 1)],
+    2: [("-x1 + x2", 1), ("1 - x1", 2), ("1 - x1 - x2", 1), ("1 - x2", 2),
+        ("x1", 1), ("x2", 1)],
+    3: [("-x1 + x2", 1), ("-x1 + x3", 1), ("-x2 + x3", 1), ("1 - x1", 2),
+        ("1 - x1 - x2", 1), ("1 - x1 - x3", 1), ("1 - x2", 2), ("1 - x2 - x3", 1),
+        ("1 - x3", 2), ("x1", 1), ("x2", 1), ("x3", 1)],
+}
+LITERAL_DEN = {"cry": _CRY_DEN, "mm": _MM_DEN, "morris": _CRY_DEN, "thm": _MM_DEN}
 
 
 class TestIdentitySpec:
@@ -58,6 +76,20 @@ class TestIdentitySpec:
         n = kwargs.pop("n")
         with pytest.raises(DomainError):
             IdentitySpec.create("morris", n, **kwargs)
+
+    @pytest.mark.parametrize("family,kwargs", [
+        ("mm", {"n": True}), ("morris", {"n": 2, "a": True}),
+        ("morris", {"n": 2, "b": False}), ("thm", {"n": 2, "twoc": True}),
+        ("cry", {"n": 2, "twoc": True}), ("mm", {"n": 2, "b": False}),
+    ])
+    def test_bools_are_not_integers(self, family, kwargs):
+        # True == 1 and False == 0 in Python; a spec must still refuse them,
+        # pinned parameters included
+        n = kwargs.pop("n")
+        with pytest.raises(DomainError):
+            IdentitySpec.create(family, n, **kwargs)
+        with pytest.raises(DomainError):
+            spec_from_json({"family": family, "n": n, **kwargs})
 
     def test_thm_needs_positive_a(self):
         with pytest.raises(DomainError):
@@ -92,12 +124,14 @@ class TestBuildIntegrand:
         f = build_integrand(spec)
         pair_bases = [b for b, _ in f.den if len(b.variables()) > 1]
         single_bases = [b for b, _ in f.den if len(b.variables()) == 1]
-        assert len(pair_bases) == pair_factor_count(spec)
         expected_pairs = n * (n - 1)
         if spec.family in (IdentityFamily.CRY, IdentityFamily.MORRIS):
             expected_pairs //= 2
         assert len(pair_bases) == expected_pairs
         assert len(single_bases) <= 2 * n
+        if n <= 3:
+            assert f.num == 1
+            assert [(str(b), e) for b, e in f.den] == LITERAL_DEN[family][n]
 
     def test_morris_exponents_follow_parameters(self):
         f = build_integrand(IdentitySpec.create("morris", 2, a=3, b=2, twoc=2))
