@@ -26,8 +26,7 @@ from .contour import (
     QuadratureConfig,
     chain_spread,
     chain_values,
-    contour_ct,
-    converged,
+    contour_ct_converged,
     default_epsilon,
 )
 from .ctengine import CTOrder, ct_iterated, factored_loads
@@ -86,34 +85,32 @@ def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise CTForgeError(f"--jobs must be at least 1, got {args.jobs}")
     if args.grid:
+        given = [name for name in ("family", "n", "a", "b", "twoc", "order")
+                 if getattr(args, name) is not None]
+        if given:
+            raise CTForgeError(f"--grid cannot be combined with --{given[0]}")
         with open(args.grid, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
         if not isinstance(entries, list):
             raise CTForgeError("--grid file must hold a JSON list of identity specs")
         specs = [spec_from_json(entry) for entry in entries]
-        for spec in specs:
-            if spec.n > _max_n():
-                raise CTForgeError(
-                    f"n={spec.n} exceeds CT_FORGE_MAX_N={_max_n()}")
-        workers = min(args.jobs, len(specs), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(verify, specs))
-        else:
-            reports = [verify(spec) for spec in specs]
-        all_equal = True
-        for report in reports:
-            print(_report_line(report, args.format))
-            all_equal = all_equal and report.equal
-        return 0 if all_equal else 1
-    if args.family is None or args.n is None:
-        raise CTForgeError("verify needs --family and --n (or --grid)")
-    spec = _spec_from_args(args)
-    if spec.n > _max_n():
-        raise CTForgeError(f"n={spec.n} exceeds CT_FORGE_MAX_N={_max_n()}")
-    report = verify(spec, order=_parse_order(args.order))
-    print(_report_line(report, args.format))
-    return 0 if report.equal else 1
+    else:
+        specs = [_spec_from_args(args)]
+    for spec in specs:
+        if spec.n > _max_n():
+            raise CTForgeError(f"n={spec.n} exceeds CT_FORGE_MAX_N={_max_n()}")
+    order = _parse_order(args.order)
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(verify, specs))
+    else:
+        reports = [verify(spec, order=order) for spec in specs]
+    all_equal = True
+    for report in reports:
+        print(_report_line(report, args.format))
+        all_equal = all_equal and report.equal
+    return 0 if all_equal else 1
 
 
 def _cmd_ct(args) -> int:
@@ -133,17 +130,14 @@ def _cmd_ct(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = _spec_from_args(args)
     epsilon = args.epsilon if args.epsilon is not None else default_epsilon(spec.n)
-    cfg = QuadratureConfig(epsilon, args.points)
-    coarse = contour_ct(spec, cfg)
-    fine_cfg = cfg.doubled()
-    fine = contour_ct(spec, fine_cfg)
-    is_converged = converged(coarse, fine, 1e-6)
+    fine, points, is_converged = contour_ct_converged(
+        spec, epsilon, 1e-6, start_points=args.points, max_points=2 * args.points)
     if args.format == "json":
-        print(json.dumps({"re": fine.real, "im": fine.imag, "N": fine_cfg.points,
-                          "epsilon": fine_cfg.epsilon, "converged": is_converged}))
+        print(json.dumps({"re": fine.real, "im": fine.imag, "N": points,
+                          "epsilon": epsilon, "converged": is_converged}))
     else:
         print(f"{spec.family.value} n={spec.n} a={spec.a} b={spec.b} twoc={spec.twoc}: "
-              f"re={fine.real!r} im={fine.imag!r} N={fine_cfg.points} "
+              f"re={fine.real!r} im={fine.imag!r} N={points} "
               f"epsilon={epsilon} converged={'yes' if is_converged else 'no'}")
     return 0 if is_converged else 1
 
@@ -177,6 +171,8 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_gamma_check(args) -> int:
+    if args.n < 1:
+        raise CTForgeError(f"gamma-check needs --n of at least 1, got {args.n}")
     cat = [check_cat_identity(n) for n in range(1, args.n + 1)]
     ratio = [check_ratio_identity(n) for n in range(1, args.n + 1)]
     all_ok = all(cat) and all(ratio)

@@ -17,12 +17,10 @@ allows, which keeps the mean |f|, and with it the float64 noise floor,
 small while the error still decays like 0.5**N.
 
 The module also evaluates the four-form substitution chain for the thm
-family.  Each form is a contour integral (1/(2*pi*i))^n of a listed
-integrand over circles centered at 0 or 1; on a circle w = c + r*e^(i*t)
-the plain measure dw/(2*pi*i) becomes (w - c) * dt/(2*pi), so every form
-reduces to prefactor * mean(integrand * prod_j (w_j - c_j)).  The two
-square-root forms use the principal branch, and the factor arguments are
-checked to stay in the right half-plane, away from the branch cut.
+family.  Written in u = w - centre, with the measure u_j and the form's
+power-of-two prefactor folded in, each form is a factored rational times
+reciprocal square roots of affine bases; it is sampled like the integrand
+of contour_ct_converged, on the torus read off its factors and bases.
 """
 
 from __future__ import annotations
@@ -60,8 +58,10 @@ class QuadratureConfig:
 
 
 def default_epsilon(n: int, shifted: bool = False) -> float:
-    """Default base radius: 0.05/n for origin circles, 0.0125/n for the
-    shifted chain contours (whose radii carry factors 2 and 4)."""
+    """Default base radius: 0.05/n for the oracle's origin torus, 0.0125/n
+    for the chain's."""
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got n={n}")
     return (0.0125 if shifted else 0.05) / n
 
 
@@ -79,9 +79,9 @@ def converged(v1: complex, v2: complex, tol: float) -> bool:
     return abs(v1 - v2) <= tol * max(1.0, abs(v2))
 
 
-def _circle(center: float, radius: float, points: int) -> np.ndarray:
+def _circle(radius: float, points: int) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(points) / points
-    return center + radius * np.exp(1j * angles)
+    return radius * np.exp(1j * angles)
 
 
 def _broadcast_axes(circles: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -119,13 +119,20 @@ def _torus_mean(circles: Sequence[np.ndarray],
     return total / points ** n
 
 
-def _factored_evaluator(f: FactoredRational) -> Callable:
+def _evaluator(f: FactoredRational, roots: Sequence[Poly]) -> Callable:
+    """The package's one float evaluator: f times the reciprocal principal
+    square root of each base in roots, which must stay in the right
+    half-plane; the denominator is multiplied out and divided once."""
     def evaluate(xs):
-        num = _poly_on_grid(f.num, xs)
-        out = num.astype(complex) if num.dtype != complex else num
+        den = 1.0
         for base, exp in f.den:
-            out = out / _poly_on_grid(base, xs) ** exp
-        return out
+            den = den * _poly_on_grid(base, xs) ** exp
+        for base in roots:
+            vals = _poly_on_grid(base, xs)
+            if not np.all(vals.real > 0):
+                raise ConfigError("square-root factor left the right half-plane")
+            den = den * np.sqrt(vals)
+        return _poly_on_grid(f.num, xs) / den
     return evaluate
 
 
@@ -141,9 +148,10 @@ def _origin_radii(n: int, epsilon: float) -> List[float]:
     return [j * epsilon for j in range(1, n + 1)]
 
 
-def _sample(f: FactoredRational, radii: Sequence[float], points: int) -> complex:
-    circles = [_circle(0.0, r, points) for r in radii]
-    return _torus_mean(circles, _factored_evaluator(f))
+def _sample(f: FactoredRational, radii: Sequence[float], points: int,
+            roots: Sequence[Poly] = ()) -> complex:
+    circles = [_circle(r, points) for r in radii]
+    return _torus_mean(circles, _evaluator(f, roots))
 
 
 def contour_ct(spec: IdentitySpec, cfg: QuadratureConfig) -> complex:
@@ -163,9 +171,10 @@ def contour_ct(spec: IdentitySpec, cfg: QuadratureConfig) -> complex:
 _TORUS_RATIO = 0.5
 
 
-def _expansion_conditions(f: FactoredRational) -> set:
+def _expansion_conditions(f: FactoredRational, roots: Sequence[Poly]) -> set:
     """The convergence conditions of ct_var's geometric series, one for
-    each affine base and, recursively, for each v-free part h0 it leaves.
+    each affine base and, recursively, for each v-free part h0 it leaves;
+    a square-root base in roots adds the same conditions as a factor.
 
     A base's terms are (variable, |coefficient|) in elimination order, the
     constant last as variable inf.  A condition is such a term list read
@@ -174,7 +183,7 @@ def _expansion_conditions(f: FactoredRational) -> set:
     magnitude minus the others, and the condition max |h1*v / h0| < 1 is
     linear in the radii."""
     conditions = set()
-    for base, _ in f.den:
+    for base in [base for base, _ in f.den] + list(roots):
         terms = []
         for mono, coef in base.terms():
             if len(mono) > 1 or (mono and mono[0][1] > 1):
@@ -193,8 +202,10 @@ def _h0_floor(h0: Sequence[Tuple[float, float]], radii: Dict[float, float]) -> f
     return lead * radii.get(last, 1.0) - sum(c * radii[w] for w, c in rest)
 
 
-def _chosen_radii(f: FactoredRational, origin: Sequence[float]) -> List[float]:
-    """Radii for contour_ct_converged, read off the integrand's factors.
+def _chosen_radii(f: FactoredRational, origin: Sequence[float],
+                  roots: Sequence[Poly] = ()) -> List[float]:
+    """Radii for contour_ct_converged and the chain, read off the
+    integrand's factors and square-root bases.
 
     From the outermost variable inwards, each r_v is the largest radius at
     which every condition headed by v has ratio |h1| r_v / min |h0| at most
@@ -206,7 +217,7 @@ def _chosen_radii(f: FactoredRational, origin: Sequence[float]) -> List[float]:
     non-affine factor or when the origin torus breaks a condition; the
     chosen radii always meet them, since the conditions on a base's later
     terms keep each of its h0 floors above zero."""
-    conditions = _expansion_conditions(f)
+    conditions = _expansion_conditions(f, roots)
     origin_radii = dict(enumerate(origin))
     for (v, h1), *h0 in conditions:
         floor = _h0_floor(h0, origin_radii)
@@ -254,99 +265,54 @@ def contour_ct_converged(
 
 # -- the substitution chain -------------------------------------------------
 
-def _chain_prefactor(form: ChainForm, n: int, a: int, twoc: int) -> float:
+def _chain_forms(n: int, a: int, twoc: int) -> Dict[ChainForm, tuple]:
+    """Each chain form in u = w - centre: a FactoredRational and its
+    square-root bases, with the measure u_j and the prefactor folded in.
+
+    X is the thm integrand around 0.  x = (1-z)/2 gives Z around 1, where
+    1 - w^2 = -u(2+u) and w_j^2 - w_k^2 = (u_j - u_k)(2 + u_j + u_k);
+    z^2 = y gives Y around 1, and t = 1 - y gives T around 0.  In Z, Y and
+    T the measure u_j cancels into the monomial u_j^a, which leaves an
+    exact constant as the numerator."""
     e = 2 * a * n + 2 * twoc * math.comb(n, 2)
-    sign = -1.0 if n % 2 else 1.0
-    if form is ChainForm.X_FORM:
-        return 1.0
-    if form is ChainForm.Z_FORM:
-        return sign * 2.0 ** (e - n)
-    if form is ChainForm.Y_FORM:
-        return sign * 2.0 ** (e - 2 * n)
-    return 2.0 ** (e - 2 * n)
+    sign = (-1) ** (n * (a + 1))
+    us = [Poly.var(j) for j in range(n)]
+    pairs = [(us[j], us[k]) for j in range(n) for k in range(j + 1, n)]
+    monomials = [(u, a - 1) for u in us if a > 1]
 
+    def form(scale: int, den: List[Tuple[Poly, int]], roots: List[Poly]):
+        return FactoredRational.create(Poly.constant(scale), monomials + den), roots
 
-def _chain_factors(form: ChainForm, n: int, a: int, twoc: int):
-    """Integer-exponent reciprocal factors and square-root reciprocal
-    factors of the form's integrand, as polynomials in w_1..w_n."""
-    one = Poly.one()
-    den: List[Tuple[Poly, int]] = []
-    roots: List[Poly] = []
-    ws = [Poly.var(j) for j in range(n)]
-    if form is ChainForm.X_FORM:
-        for w in ws:
-            den.append((w, a))
-            den.append((one - w, a))
-        for j in range(n):
-            for k in range(j + 1, n):
-                den.append((ws[k] - ws[j], twoc))
-                den.append((one - ws[k] - ws[j], twoc))
-    elif form is ChainForm.Z_FORM:
-        for w in ws:
-            den.append((one - w * w, a))
-        for j in range(n):
-            for k in range(j + 1, n):
-                den.append((ws[j] * ws[j] - ws[k] * ws[k], twoc))
-    elif form is ChainForm.Y_FORM:
-        for w in ws:
-            den.append((one - w, a))
-            roots.append(w)
-        for j in range(n):
-            for k in range(j + 1, n):
-                den.append((ws[j] - ws[k], twoc))
-    else:
-        for w in ws:
-            den.append((w, a))
-            roots.append(one - w)
-        for j in range(n):
-            for k in range(j + 1, n):
-                den.append((ws[k] - ws[j], twoc))
-    return den, roots
-
-
-_CHAIN_GEOMETRY = {
-    ChainForm.X_FORM: (0.0, 1),
-    ChainForm.Z_FORM: (1.0, 2),
-    ChainForm.Y_FORM: (1.0, 4),
-    ChainForm.T_FORM: (0.0, 4),
-}
+    return {
+        ChainForm.X_FORM: (build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc)), []),
+        ChainForm.Z_FORM: form(sign * 2 ** (e - n),
+                               [(2 + u, a) for u in us]
+                               + [(uj - uk, twoc) for uj, uk in pairs]
+                               + [(2 + uj + uk, twoc) for uj, uk in pairs], []),
+        ChainForm.Y_FORM: form(sign * 2 ** (e - 2 * n),
+                               [(uj - uk, twoc) for uj, uk in pairs], [1 + u for u in us]),
+        ChainForm.T_FORM: form(2 ** (e - 2 * n),
+                               [(uk - uj, twoc) for uj, uk in pairs], [1 - u for u in us]),
+    }
 
 
 def chain_values(n: int, a: int, twoc: int,
                  cfg: QuadratureConfig) -> Dict[ChainForm, complex]:
     """Quadrature estimates of all four substitution-chain forms of the thm
-    constant term; in exact arithmetic all four would be equal."""
-    if n > 3:
-        raise ConfigError("the chain check supports n <= 3")
+    constant term; in exact arithmetic all four would be equal.
+
+    cfg.epsilon states each form's origin torus |u_j| = j*epsilon, refused
+    outside n*epsilon < 0.1 and required to meet the expansion rule, as in
+    contour_ct_converged; each form is sampled at cfg.points per circle on
+    the torus _chosen_radii reads off its factors and square-root bases."""
+    if not 1 <= n <= 3:
+        raise ConfigError(f"the chain check supports 1 <= n <= 3, got n={n}")
     if a < 1 or twoc < 1:
         raise ConfigError("chain parameters need a >= 1 and twoc >= 1")
-    if n * cfg.epsilon >= 0.1 or 4 * n * cfg.epsilon >= 0.5:
-        raise ConfigError(
-            f"epsilon {cfg.epsilon} too large: need n*eps < 0.1 and 4n*eps < 0.5")
+    origin = _origin_radii(n, cfg.epsilon)
     out: Dict[ChainForm, complex] = {}
-    for form in ChainForm:
-        center, mult = _CHAIN_GEOMETRY[form]
-        den, roots = _chain_factors(form, n, a, twoc)
-        circles = [_circle(center, mult * j * cfg.epsilon, cfg.points)
-                   for j in range(1, n + 1)]
-
-        def evaluate(xs, den=den, roots=roots, center=center):
-            acc = None
-            for x in xs:
-                measure = x - center
-                acc = measure if acc is None else acc * measure
-            for base, exp in den:
-                acc = acc / _poly_on_grid(base, xs) ** exp
-            for base in roots:
-                vals = _poly_on_grid(base, xs)
-                if not np.all(vals.real > 0):
-                    raise ConfigError(
-                        "square-root factor left the right half-plane; "
-                        "shrink epsilon")
-                acc = acc * vals ** -0.5
-            return acc
-
-        out[form] = _chain_prefactor(form, n, a, twoc) * _torus_mean(circles, evaluate)
+    for form, (f, roots) in _chain_forms(n, a, twoc).items():
+        out[form] = _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots)
     return out
 
 

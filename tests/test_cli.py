@@ -7,6 +7,8 @@ import string
 import pytest
 
 from ct_forge.cli import main
+from ct_forge.contour import contour_ct_converged, default_epsilon
+from ct_forge.identities import IdentitySpec
 
 
 def run(capsys, argv):
@@ -156,6 +158,17 @@ class TestGrid:
         code, _, err = run(capsys, ["verify", "--grid", str(tmp_path / "nope.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--family", "cry"], ["--n", "9"], ["--a", "1"], ["--b", "1"],
+        ["--twoc", "2"], ["--order", "2,1"],
+        ["--order", "2,1", "--family", "cry", "--n", "9"],
+    ])
+    def test_single_spec_flags_refused(self, capsys, tmp_path, flags):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(self.GRID[:1]))
+        code, out, err = run(capsys, ["verify", "--grid", str(grid_file)] + flags)
+        assert code == 2 and out == "" and "--grid" in err
+
 
 class TestCt:
     def write(self, tmp_path, payload) -> str:
@@ -245,6 +258,19 @@ class TestOracle:
                                     "--points", "2"])
         assert code == 1 and "converged=no" in out
 
+    @pytest.mark.parametrize("family,n,points", [("cry", 2, 64), ("mm", 2, 2),
+                                                 ("morris", 3, 64)])
+    def test_is_the_converged_oracle(self, capsys, family, n, points):
+        spec = IdentitySpec.create(family, n)
+        value, used, ok = contour_ct_converged(spec, default_epsilon(n), 1e-6,
+                                               points, 2 * points)
+        code, out, _ = run(capsys, ["oracle", "--family", family, "--n", str(n),
+                                    "--points", str(points), "--format", "json"])
+        payload = json.loads(out)
+        assert (payload["re"], payload["im"]) == (value.real, value.imag)
+        assert (payload["N"], payload["converged"]) == (used, ok)
+        assert code == (0 if ok else 1)
+
     def test_requires_spec(self, capsys):
         code, _, err = run(capsys, ["oracle", "--points", "64"])
         assert code == 2
@@ -280,6 +306,11 @@ class TestChain:
         code, _, err = run(capsys, ["chain", "--n", "4", "--a", "1", "--twoc", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n(self, capsys, n):
+        code, out, err = run(capsys, ["chain", "--n", n, "--a", "1", "--twoc", "1"])
+        assert code == 2 and out == "" and f"n={n}" in err
+
 
 class TestGammaCheck:
     def test_default_range(self, capsys):
@@ -293,3 +324,8 @@ class TestGammaCheck:
         assert code == 0
         payload = json.loads(out)
         assert payload == {"cat": [True] * 3, "ratio": [True] * 3, "all_ok": True}
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_nonpositive_n(self, capsys, n):
+        code, out, err = run(capsys, ["gamma-check", "--n", n, "--format", "json"])
+        assert code == 2 and out == "" and "--n" in err

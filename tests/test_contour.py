@@ -52,6 +52,11 @@ class TestQuadratureConfig:
         assert default_epsilon(2) == pytest.approx(0.025)
         assert default_epsilon(3, shifted=True) == pytest.approx(0.0125 / 3)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_default_epsilon_refuses_nonpositive_n(self, n):
+        with pytest.raises(ConfigError, match=f"n={n}"):
+            default_epsilon(n, shifted=True)
+
 
 class TestConverged:
     def test_examples(self):
@@ -183,10 +188,24 @@ class TestChain:
                 for form, v in values.items():
                     assert rel_err(v, exact) < 1e-5, (a, twoc, form)
 
+    @pytest.mark.parametrize("a,twoc", [(2, 2), (3, 1), (3, 2)])
+    def test_n3_on_the_chosen_torus(self, a, twoc):
+        """On the shifted circles of radius mult*j*epsilon these instances
+        drifted apart (rel 17.4 at a=3, twoc=2); on the torus read off each
+        form's factors they agree."""
+        cfg = QuadratureConfig(default_epsilon(3, shifted=True), 128)
+        values = chain_values(3, a, twoc, cfg)
+        assert chain_spread(values) < 1e-5
+        exact = thm_rhs(3, a, twoc)
+        for form, v in values.items():
+            assert rel_err(v, exact) < 1e-5, form
+
     def test_config_errors(self):
         cfg = QuadratureConfig(0.005, 64)
         with pytest.raises(ConfigError):
             chain_values(4, 2, 1, cfg)
+        with pytest.raises(ConfigError, match="n=0"):
+            chain_values(0, 2, 1, cfg)
         with pytest.raises(ConfigError):
             chain_values(2, 0, 1, cfg)
         with pytest.raises(ConfigError):
