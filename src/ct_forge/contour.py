@@ -10,6 +10,11 @@ in an annulus around every circle, so the error decays geometrically in
 the per-circle sample count N, and halving is checked by comparing N
 against 2N rather than by any error expansion.
 
+_sample never forms the whole N**n grid: each factor is evaluated on the
+axes of its own variables, the factors on one axis set are multiplied,
+each set is folded into one that contains it, and what is left is summed
+by np.sum or one np.einsum.  Grids over _SAMPLE_BUDGET points are refused.
+
 contour_ct samples the origin torus r_j = j*epsilon that the caller states.
 contour_ct_converged samples a torus whose radii are read off the
 integrand's factors (see _chosen_radii): as wide as the expansion domain
@@ -28,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +42,11 @@ from .errors import ConfigError
 from .identities import IdentitySpec, build_integrand
 from .polyring import Poly
 
-_CHUNK_ELEMS = 1 << 21
+# The most grid points a sample may cover: n = 3 at N = 2048, a default oracle's top.
+_SAMPLE_BUDGET = 2 ** 33
+# The largest einsum intermediate (32 MB): the N**3 tensors that route n = 4 at
+# N = 128 through BLAS, ~20x faster than einsum's one loop over all N**4 points.
+_EINSUM_ELEMS = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -101,41 +110,6 @@ def _poly_on_grid(p: Poly, xs: Sequence[np.ndarray]):
     return total
 
 
-def _torus_mean(circles: Sequence[np.ndarray],
-                evaluate: Callable[[Sequence[np.ndarray]], np.ndarray]) -> complex:
-    """Mean of evaluate(xs) over the product grid, chunked along the first
-    axis so peak memory stays bounded."""
-    n = len(circles)
-    points = len(circles[0])
-    tail = points ** (n - 1)
-    block = max(1, _CHUNK_ELEMS // tail)
-    total = 0j
-    first = circles[0]
-    rest = _broadcast_axes(circles)[1:] if n > 1 else []
-    for start in range(0, points, block):
-        piece = first[start:start + block].reshape((-1,) + (1,) * (n - 1))
-        vals = evaluate([piece] + rest)
-        total += complex(np.sum(vals))
-    return total / points ** n
-
-
-def _evaluator(f: FactoredRational, roots: Sequence[Poly]) -> Callable:
-    """The package's one float evaluator: f times the reciprocal principal
-    square root of each base in roots, which must stay in the right
-    half-plane; the denominator is multiplied out and divided once."""
-    def evaluate(xs):
-        den = 1.0
-        for base, exp in f.den:
-            den = den * _poly_on_grid(base, xs) ** exp
-        for base in roots:
-            vals = _poly_on_grid(base, xs)
-            if not np.all(vals.real > 0):
-                raise ConfigError("square-root factor left the right half-plane")
-            den = den * np.sqrt(vals)
-        return _poly_on_grid(f.num, xs) / den
-    return evaluate
-
-
 def _origin_radii(n: int, epsilon: float) -> List[float]:
     """Radii j*epsilon of the caller's origin torus, refused unless
     n <= 4 and n*epsilon < 0.1."""
@@ -150,8 +124,44 @@ def _origin_radii(n: int, epsilon: float) -> List[float]:
 
 def _sample(f: FactoredRational, radii: Sequence[float], points: int,
             roots: Sequence[Poly] = ()) -> complex:
-    circles = [_circle(r, points) for r in radii]
-    return _torus_mean(circles, _evaluator(f, roots))
+    """Mean over the product grid of f times the reciprocal principal
+    square root of each base in roots, which must stay in the right
+    half-plane; the package's one float evaluator (see the module notes)."""
+    n = len(radii)
+    if points ** n > _SAMPLE_BUDGET:
+        raise ConfigError(f"n={n} at N={points} needs points**n = {points ** n} "
+                          f"samples, over the budget of {_SAMPLE_BUDGET}")
+    xs = _broadcast_axes([_circle(r, points) for r in radii])
+    num, den = {}, {}  # axes -> product of the factors on exactly those axes
+
+    def put(group, vals):
+        axes = tuple(j for j, size in enumerate(np.shape(vals)) if size > 1)
+        group[axes] = group[axes] * vals if axes in group else vals
+
+    put(num, _poly_on_grid(f.num, xs))
+    for base, exp in f.den:
+        vals = _poly_on_grid(base, xs)
+        for _ in range(exp):  # numpy's complex power is slower for exp != 2
+            put(den, vals)
+    for base in roots:
+        vals = _poly_on_grid(base, xs)
+        if not np.all(vals.real > 0):
+            raise ConfigError("square-root factor left the right half-plane")
+        put(den, np.sqrt(vals))
+    groups = {axes: num.pop(axes, 1) / vals for axes, vals in den.items()}
+    groups.update(num)
+    for axes in sorted(groups, key=len):
+        hosts = [b for b in groups if set(axes) < set(b)]
+        if hosts:
+            groups[hosts[0]] *= groups.pop(axes)
+    if len(groups) == 1:
+        total = np.sum(*groups.values())
+    else:
+        operands = []
+        for axes, vals in groups.items():
+            operands += [vals.reshape((points,) * len(axes)), list(axes)]
+        total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
+    return complex(total) / points ** len(set().union(*groups))
 
 
 def contour_ct(spec: IdentitySpec, cfg: QuadratureConfig) -> complex:

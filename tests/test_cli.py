@@ -280,6 +280,13 @@ class TestOracle:
                                     "--points", "100"])
         assert code == 2
 
+    def test_sample_budget(self, capsys):
+        """With the default --points, n=4 would refine at N=2048: 2048**4
+        samples.  It is refused before any array is built."""
+        code, out, err = run(capsys, ["oracle", "--family", "mm", "--n", "4"])
+        assert code == 2 and out == ""
+        assert "n=4 at N=1024" in err and "budget" in err
+
 
 class TestChain:
     def test_agreement(self, capsys):

@@ -8,6 +8,7 @@ small instances exercised here.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ct_forge.contour import (
@@ -18,6 +19,7 @@ from ct_forge.contour import (
     contour_ct,
     contour_ct_converged,
     _chosen_radii,
+    _sample,
     converged,
     default_epsilon,
 )
@@ -110,6 +112,67 @@ class TestContourCt:
     def test_converged_radius_guard(self):
         with pytest.raises(ConfigError):
             contour_ct_converged(IdentitySpec.create("cry", 2), epsilon=0.05)
+
+
+class TestContraction:
+    """_sample sums factor tensors on their own axes; these compare it with
+    the plain mean over the full product grid."""
+
+    RADII = [0.3, 0.4, 0.5]
+    POINTS = 16
+
+    def brute_force_mean(self, integrand):
+        angles = 2 * np.pi * np.arange(self.POINTS) / self.POINTS
+        x1, x2, x3 = np.meshgrid(*(r * np.exp(1j * angles) for r in self.RADII),
+                                 indexing="ij")
+        return np.mean(integrand(x1, x2, x3))
+
+    @pytest.mark.parametrize("triple", [False, True])
+    def test_matches_brute_force(self, triple):
+        """Without the base on all three variables the pair groups are left
+        for einsum; with it everything folds into one group."""
+        den = [(parse_poly("x1"), 2), (parse_poly("1 - x2"), 1),
+               (parse_poly("3 - x1 - x2"), 2), (parse_poly("2 + x1*x3"), 1),
+               (parse_poly("2 - x3 + x2"), 3)]
+        if triple:
+            den.append((parse_poly("4 - x1 + x2 - x3"), 1))
+        f = FactoredRational.create(parse_poly("1 + 2*x1 - x2 + x1*x2"), den)
+        roots = [parse_poly("1 + x3")]
+
+        def integrand(x1, x2, x3):
+            value = ((1 + 2 * x1 - x2 + x1 * x2)
+                     / (x1 ** 2 * (1 - x2) * (3 - x1 - x2) ** 2 * (2 + x1 * x3)
+                        * (2 - x3 + x2) ** 3 * np.sqrt(1 + x3)))
+            return value / (4 - x1 + x2 - x3) if triple else value
+
+        expected = self.brute_force_mean(integrand)
+        value = _sample(f, self.RADII, self.POINTS, roots)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_uncovered_axis(self):
+        """A variable no factor involves still counts N points per circle."""
+        f = FactoredRational.create(parse_poly("2 + x1"), [(parse_poly("3 - x2"), 1)])
+        expected = self.brute_force_mean(lambda x1, x2, x3: (2 + x1) / (3 - x2) + 0 * x3)
+        assert _sample(f, self.RADII, self.POINTS) == pytest.approx(expected, abs=1e-14)
+
+    def test_root_leaving_right_half_plane(self):
+        f = FactoredRational.create(Poly.one(), [(parse_poly("2 - x1"), 1)])
+        with pytest.raises(ConfigError, match="right half-plane"):
+            _sample(f, self.RADII, self.POINTS, [parse_poly("10*x2 - 1")])
+
+    def test_sample_budget(self):
+        """n=4 at N=2048 is refused before any array is built."""
+        with pytest.raises(ConfigError, match="n=4 at N=2048"):
+            contour_ct(IdentitySpec.create("mm", 4), QuadratureConfig(0.01, 2048))
+
+    @pytest.mark.parametrize("family,kwargs", [
+        ("mm", {}), ("thm", {"a": 2, "twoc": 2}), ("cry", {}),
+        ("morris", {"a": 2, "b": 2, "twoc": 2})])
+    def test_n4_agreement(self, family, kwargs):
+        """n=4 converges at N=128, well inside the sample budget."""
+        spec = IdentitySpec.create(family, 4, **kwargs)
+        value, points, ok = contour_ct_converged(spec, max_points=256)
+        assert ok and rel_err(value, rhs(spec)) < 1e-6
 
 
 class TestChosenTorus:
