@@ -5,103 +5,4 @@ over exact rationals, evaluates the matching Gamma-product closed forms, and
 cross-checks both against a floating-point contour oracle.
 """
 
-from .contour import (
-    ChainForm,
-    QuadratureConfig,
-    chain_spread,
-    chain_values,
-    contour_ct,
-    contour_ct_converged,
-    converged,
-    default_epsilon,
-)
-from .ctengine import (
-    CTOrder,
-    FactoredRational,
-    ct_iterated,
-    ct_var,
-    factored_dumps,
-    factored_loads,
-    pole_order,
-)
-from .errors import (
-    ConfigError,
-    CTForgeError,
-    DomainError,
-    NonAffineError,
-    NonRationalError,
-    ParseError,
-    PoleError,
-    ResidualVariableError,
-    ZeroConstantError,
-)
-from .exactarith import (
-    GammaValue,
-    HalfInt,
-    catalan,
-    gamma_half,
-    mm_rhs,
-    morris_rhs,
-    thm_rhs,
-)
-from .identities import (
-    IdentityFamily,
-    IdentitySpec,
-    VerificationReport,
-    build_integrand,
-    check_cat_identity,
-    check_ratio_identity,
-    rhs,
-    spec_dumps,
-    spec_loads,
-    verify,
-)
-from .polyring import Poly, parse_poly
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChainForm",
-    "ConfigError",
-    "CTForgeError",
-    "CTOrder",
-    "DomainError",
-    "FactoredRational",
-    "GammaValue",
-    "HalfInt",
-    "IdentityFamily",
-    "IdentitySpec",
-    "NonAffineError",
-    "NonRationalError",
-    "ParseError",
-    "Poly",
-    "PoleError",
-    "QuadratureConfig",
-    "ResidualVariableError",
-    "VerificationReport",
-    "ZeroConstantError",
-    "build_integrand",
-    "catalan",
-    "chain_spread",
-    "chain_values",
-    "check_cat_identity",
-    "check_ratio_identity",
-    "contour_ct",
-    "contour_ct_converged",
-    "converged",
-    "ct_iterated",
-    "ct_var",
-    "default_epsilon",
-    "factored_dumps",
-    "factored_loads",
-    "gamma_half",
-    "mm_rhs",
-    "morris_rhs",
-    "parse_poly",
-    "pole_order",
-    "rhs",
-    "spec_dumps",
-    "spec_loads",
-    "thm_rhs",
-    "verify",
-]

@@ -121,19 +121,6 @@ def _is_monomial_in(base: Poly, v: int) -> bool:
     return len(terms) == 1 and terms[0][0] == ((v, 1),)
 
 
-def pole_order(f: FactoredRational, v: int) -> int:
-    """Order of the pole of f at v = 0: the total exponent of pure-monomial
-    v factors in the denominator, minus the v-valuation of the numerator,
-    floored at 0.  Factors whose base has nonzero v-free part are regular
-    at v = 0 and contribute nothing."""
-    if f.num.is_zero():
-        return 0
-    order = sum(exp for base, exp in f.den if _is_monomial_in(base, v))
-    valuation = min(
-        next((e for var, e in m if var == v), 0) for m, _ in f.num.terms())
-    return max(order - valuation, 0)
-
-
 def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     """Constant term of f in variable v, exactly.
 
@@ -223,44 +210,7 @@ def ct_iterated(f: FactoredRational, order: Optional[CTOrder] = None) -> Fractio
     return g.as_constant()
 
 
-def factored_add(f: FactoredRational, g: FactoredRational) -> FactoredRational:
-    """Sum over the merged denominator, still without any gcd."""
-    fden = {base: exp for base, exp in f.den}
-    gden = {base: exp for base, exp in g.den}
-    bases = set(fden) | set(gden)
-    common = tuple((b, max(fden.get(b, 0), gden.get(b, 0))) for b in bases)
-    fnum = f.num
-    gnum = g.num
-    for b, e in common:
-        fnum = fnum * b ** (e - fden.get(b, 0))
-        gnum = gnum * b ** (e - gden.get(b, 0))
-    return FactoredRational.create(fnum + gnum, common)
-
-
-def factored_scale(f: FactoredRational, c) -> FactoredRational:
-    return FactoredRational.create(f.num * Fraction(c), f.den)
-
-
-def factored_equivalent(f: FactoredRational, g: FactoredRational) -> bool:
-    """Whether f and g represent the same rational function, decided by
-    cross-multiplying numerators against the other side's denominator."""
-    left = f.num
-    for base, exp in g.den:
-        left = left * base ** exp
-    right = g.num
-    for base, exp in f.den:
-        right = right * base ** exp
-    return left == right
-
-
 # -- JSON interchange ------------------------------------------------------
-
-def factored_to_json(f: FactoredRational) -> dict:
-    return {
-        "num": str(f.num),
-        "den": [[str(base), exp] for base, exp in f.den],
-    }
-
 
 def factored_from_json(obj: dict) -> FactoredRational:
     try:
@@ -271,10 +221,6 @@ def factored_from_json(obj: dict) -> FactoredRational:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed factored-rational object: {exc}") from exc
-
-
-def factored_dumps(f: FactoredRational) -> str:
-    return json.dumps(factored_to_json(f))
 
 
 def factored_loads(text: str) -> FactoredRational:

@@ -24,7 +24,6 @@ side with the exact Gamma evaluators and compares, exactly.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -245,15 +244,3 @@ def spec_from_json(obj: dict) -> IdentitySpec:
         raise
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed identity spec: {exc}") from exc
-
-
-def spec_dumps(spec: IdentitySpec) -> str:
-    return json.dumps(spec_to_json(spec))
-
-
-def spec_loads(text: str) -> IdentitySpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    return spec_from_json(obj)

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import rationals
 from ct_forge.contour import (
     QuadratureConfig,
     chain_spread,
@@ -22,9 +23,6 @@ from ct_forge.contour import (
 )
 from ct_forge.ctengine import (
     ct_var,
-    factored_add,
-    factored_equivalent,
-    factored_scale,
     ct_iterated,
     FactoredRational,
 )
@@ -220,12 +218,14 @@ def _random_factored(rng):
 
 
 def _prop_ct_linearity(rng):
-    f = factored_scale(_random_factored(rng), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    g = factored_scale(_random_factored(rng), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    f = _random_factored(rng)
+    f = FactoredRational.create(f.num * Fraction(rng.randint(-4, 4), rng.randint(1, 3)), f.den)
+    g = _random_factored(rng)
+    g = FactoredRational.create(g.num * Fraction(rng.randint(-4, 4), rng.randint(1, 3)), g.den)
     v = rng.randint(0, 1)
-    lhs = ct_var(factored_add(f, g), v)
-    rhs = factored_add(ct_var(f, v), ct_var(g, v))
-    assert factored_equivalent(lhs, rhs)
+    lhs = ct_var(rationals.add(f, g), v)
+    rhs = rationals.add(ct_var(f, v), ct_var(g, v))
+    assert rationals.equivalent(lhs, rhs)
 
 
 def _prop_coeff_reconstruction(rng):

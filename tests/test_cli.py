@@ -154,6 +154,12 @@ class TestGrid:
         code, out, err = run(capsys, ["verify", "--grid", str(grid_file)])
         assert code == 2 and out == "" and "integer" in err
 
+    def test_grid_file_not_json(self, capsys, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text("{")
+        code, out, err = run(capsys, ["verify", "--grid", str(grid_file)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_missing_grid_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["verify", "--grid", str(tmp_path / "nope.json")])
         assert code == 2
