@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional
 
 from .contour import (
@@ -102,6 +101,7 @@ def _cmd_verify(args) -> int:
     order = _parse_order(args.order)
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~2 MB; only --jobs needs it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(verify, specs))
     else:
@@ -240,10 +240,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: each add_argument reads the terminal size and the gettext
+# catalog, and parse_args keeps no state between calls.
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

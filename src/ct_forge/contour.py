@@ -14,6 +14,8 @@ _sample never forms the whole N**n grid: each factor is evaluated on the
 axes of its own variables, the factors on one axis set are multiplied,
 each set is folded into one that contains it, and what is left is summed
 by np.sum or one np.einsum.  Grids over _SAMPLE_BUDGET points are refused.
+Only the sampling functions import numpy, so importing this module (as the
+CLI does for every subcommand) starts no BLAS threads.
 
 contour_ct samples the origin torus r_j = j*epsilon that the caller states.
 contour_ct_converged samples a torus whose radii are read off the
@@ -33,14 +35,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .ctengine import FactoredRational
 from .errors import ConfigError
 from .identities import IdentitySpec, build_integrand
 from .polyring import Poly
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The most grid points a sample may cover: n = 3 at N = 2048, a default oracle's top.
 _SAMPLE_BUDGET = 2 ** 33
@@ -89,6 +92,7 @@ def converged(v1: complex, v2: complex, tol: float) -> bool:
 
 
 def _circle(radius: float, points: int) -> np.ndarray:
+    import numpy as np
     angles = 2.0 * np.pi * np.arange(points) / points
     return radius * np.exp(1j * angles)
 
@@ -99,6 +103,7 @@ def _broadcast_axes(circles: Sequence[np.ndarray]) -> List[np.ndarray]:
 
 
 def _poly_on_grid(p: Poly, xs: Sequence[np.ndarray]):
+    import numpy as np
     total = 0
     for mono, coef in p.terms():
         term = complex(coef)
@@ -127,6 +132,7 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     """Mean over the product grid of f times the reciprocal principal
     square root of each base in roots, which must stay in the right
     half-plane; the package's one float evaluator (see the module notes)."""
+    import numpy as np
     n = len(radii)
     if points ** n > _SAMPLE_BUDGET:
         raise ConfigError(f"n={n} at N={points} needs points**n = {points ** n} "

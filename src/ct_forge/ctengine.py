@@ -79,7 +79,8 @@ class FactoredRational:
                 scale /= base.constant_coeff() ** exp
                 continue
             content, prim = base.content_and_primitive()
-            scale /= content ** exp
+            if content != 1:
+                scale /= content ** exp
             merged[prim] = merged.get(prim, 0) + exp
         num = num * scale
         if num.is_zero():
@@ -115,10 +116,12 @@ class FactoredRational:
         return f"({self.num}) / [{parts}]"
 
 
-def _is_monomial_in(base: Poly, v: int) -> bool:
-    """True when base is c*v for a rational constant c."""
-    terms = list(base.terms())
-    return len(terms) == 1 and terms[0][0] == ((v, 1),)
+def _powers(p: Poly, top: int) -> List[Poly]:
+    """p**0 .. p**top, each from the one before."""
+    out = [Poly.one()]
+    for _ in range(top):
+        out.append(out[-1] * p)
+    return out
 
 
 def ct_var(f: FactoredRational, v: int) -> FactoredRational:
@@ -136,7 +139,7 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     passthrough: List[Factor] = []
     series_factors: List[Tuple[Poly, Poly, int]] = []  # (h0, h1, exp)
     shift = 0
-    mono_scale = Fraction(1)
+    mono_scale = 1
     for base, exp in f.den:
         d = base.degree_in(v)
         if d == 0:
@@ -146,41 +149,35 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
             raise NonAffineError(
                 f"factor ({base}) has degree {d} in x{v + 1}; "
                 "constant-term extraction needs affine factors")
-        h0 = base.coeff_of(v, 0)
+        h0, h1 = base.coeff_of(v, 0), base.coeff_of(v, 1)
         if h0.is_zero():
-            if not _is_monomial_in(base, v):
+            if not h1.is_constant():
                 raise ZeroConstantError(
                     f"factor ({base}) contains x{v + 1} but has no x{v + 1}-free part "
                     "and is not a pure monomial")
-            c = base.coeff_of(v, 1).constant_coeff()
             shift += exp
-            mono_scale /= c ** exp
+            mono_scale /= h1.constant_coeff() ** exp
             continue
-        series_factors.append((h0, base.coeff_of(v, 1), exp))
+        series_factors.append((h0, h1, exp))
 
     # Wanted: coefficient of v**shift in num * prod (h0 + h1*v)**-exp.
     # Each factor's series is truncated at order M = shift and cleared of
     # negative powers by the common per-factor denominator h0**(exp+M), so
-    # the convolution below is purely polynomial.
+    # the convolution below is purely polynomial.  Series powers are
+    # nonnegative, so numerator terms above v**M cannot reach it.
     M = shift
-    acc: Dict[int, Poly] = {}
-    for m, c in f.num.terms():
-        d = next((e for var, e in m if var == v), 0)
-        if d > M:
-            continue  # series powers are nonnegative; cannot reach v**M
-        stripped = Poly._raw({tuple(p for p in m if p[0] != v): c})
-        acc[d] = acc.get(d, Poly.zero()) + stripped
+    acc = {d: p for d, p in f.num.coeffs_in(v).items() if d <= M}
 
     out_den: List[Factor] = list(passthrough)
     for h0, h1, exp in series_factors:
         out_den.append((h0, exp + M))
+        if not M:
+            continue  # at M = 0 the cleared series is the constant 1
         # series coefficient of v**t over that denominator:
         #   C(exp+t-1, t) * (-h1)**t * h0**(M-t)
-        fac_series: List[Poly] = []
-        neg_h1_pow = Poly.one()
-        for t in range(M + 1):
-            fac_series.append(math.comb(exp + t - 1, t) * neg_h1_pow * (h0 ** (M - t)))
-            neg_h1_pow = neg_h1_pow * (-h1)
+        h0_pows, neg_h1_pows = _powers(h0, M), _powers(-h1, M)
+        fac_series = [math.comb(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[M - t]
+                      for t in range(M + 1)]
         new_acc: Dict[int, Poly] = {}
         for d, p in acc.items():
             for t in range(M + 1 - d):
@@ -188,7 +185,7 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
                 if q.is_zero():
                     continue
                 k = d + t
-                new_acc[k] = new_acc.get(k, Poly.zero()) + q
+                new_acc[k] = new_acc[k] + q if k in new_acc else q
         acc = new_acc
 
     target = acc.get(M, Poly.zero()) * mono_scale

@@ -36,3 +36,7 @@ class ConfigError(CTForgeError, ValueError):
 
 class ParseError(CTForgeError, ValueError):
     """Malformed polynomial or integrand text."""
+
+
+class ExponentOverflowError(CTForgeError, OverflowError):
+    """An exponent outgrew the fixed-width field of a packed monomial."""

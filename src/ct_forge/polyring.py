@@ -1,10 +1,24 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, on an integer core.
 
-Variables are dense nonnegative indices; index i renders as ``x{i+1}``.  A
-monomial is a sorted tuple of (variable, exponent) pairs with positive
-exponents, so the constant monomial is the empty tuple.  A polynomial maps
-monomials to nonzero Fraction coefficients; the zero polynomial is the empty
-map, which makes canonical equality plain dict equality.
+Variables are indices 0 to 1023; index i renders as ``x{i+1}``.  A
+polynomial is a positive rational content times a primitive integer
+polynomial: a dict from packed monomials to int coefficients whose gcd is
+1, the sign kept in the coefficients.  That form is canonical, so equality
+and hashing compare the content and the dict; the zero polynomial is the
+empty dict over content 1.  By Gauss's lemma a product of primitive
+polynomials is primitive, so a product only multiplies the contents.
+
+A packed monomial is one int that holds the exponent of variable i in
+bits [i*_BITS, (i+1)*_BITS) (Monagan & Pearce, CASC 2007): a monomial
+product is one integer addition, and a degree or coefficient in one
+variable is a shift and a mask.  The top bit of each field is a guard.
+Exponents stay below it, so a sum of two exponents never carries into the
+next field, and an exponent that reaches it raises ExponentOverflowError.
+
+At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
+with positive exponents, the constant monomial being the empty tuple:
+Poly(mapping) accepts that form and terms() yields it, with exact rational
+coefficients.
 
 Coefficient arithmetic is always exact; the single floating-point path is
 `contour._poly_on_grid`, used only by the numeric cross-check.
@@ -13,105 +27,152 @@ Coefficient arithmetic is always exact; the single floating-point path is
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from functools import reduce
+from numbers import Rational
+from typing import Dict, List, Mapping, Tuple
 
-from .errors import ParseError
+from .errors import ExponentOverflowError, ParseError
 
 Monomial = Tuple[Tuple[int, int], ...]
 
-_ZERO = Fraction(0)
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+_GUARD = 1 << (_BITS - 1)
+_MAX_EXP = _GUARD - 1
+# Variable indices stay below _VARS, which bounds a monomial at 2 KB.
+_VARS = 1024
+_GUARDS = ((1 << (_BITS * _VARS)) - 1) // _MASK * _GUARD  # the guard bit of every field
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+def _overflow(v: int) -> ExponentOverflowError:
+    return ExponentOverflowError(
+        f"exponent of x{v + 1} exceeds {_MAX_EXP}, the largest a packed monomial holds")
 
 
-def _mono_sort_key(m: Monomial):
-    # graded order: total degree first, then the exponent tuple itself
-    return (sum(e for _, e in m), m)
+def _check_var(v: int) -> None:
+    if not 0 <= v < _VARS:
+        raise ValueError(f"variable index {v} is outside 0..{_VARS - 1}")
 
 
-def _render_mono(m: Monomial) -> str:
-    return "*".join(f"x{v + 1}" + (f"^{e}" if e > 1 else "") for v, e in m)
+def _pack(mono) -> int:
+    """One packed monomial from (variable, exponent) pairs; a repeated
+    variable adds its exponents."""
+    m = 0
+    for v, e in mono:
+        v, e = int(v), int(e)
+        if not e:
+            continue
+        if e < 0:
+            raise ValueError(f"bad monomial entry ({v}, {e})")
+        _check_var(v)
+        shift = _BITS * v
+        if ((m >> shift) & _MASK) + e > _MAX_EXP:
+            raise _overflow(v)
+        m += e << shift
+    return m
+
+
+def _unpack(m: int) -> Monomial:
+    out = []
+    while m:
+        v = ((m & -m).bit_length() - 1) // _BITS  # the lowest variable present
+        e = (m >> (_BITS * v)) & _MASK
+        out.append((v, e))
+        m -= e << (_BITS * v)
+    return tuple(out)
+
+
+def _rational(q):
+    """q as an int when it is integral, so contents stay ints where they can."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _primitive(terms: Dict[int, int], content):
+    """(terms, content) with the gcd of the int coefficients moved into content."""
+    g = math.gcd(*terms.values())
+    if g == 0:
+        return terms, 1
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
+        content = content * g
+    return terms, _rational(content)
+
+
+def _from_rationals(terms: Dict[int, Rational]):
+    """(terms, content) of rational coefficients; zero sums drop out."""
+    terms = {m: c for m, c in terms.items() if c}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return _primitive({m: c.numerator * (den // c.denominator) for m, c in terms.items()},
+                      Fraction(1, den))
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_content")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        canon: Dict[Monomial, Fraction] = {}
+        acc: Dict[int, Fraction] = {}
         for mono, coef in (terms or {}).items():
             c = Fraction(coef)
-            if not c:
-                continue
-            pairs = tuple(sorted((int(v), int(e)) for v, e in mono if e))
-            for v, e in pairs:
-                if v < 0 or e < 0:
-                    raise ValueError(f"bad monomial entry ({v}, {e})")
-            canon[pairs] = canon.get(pairs, _ZERO) + c
-        self._terms = {m: c for m, c in canon.items() if c}
+            if c:
+                m = _pack(mono)
+                acc[m] = acc.get(m, 0) + c
+        self._terms, self._content = _from_rationals(acc)
 
     @classmethod
-    def _raw(cls, terms: Dict[Monomial, Fraction]) -> "Poly":
-        # internal: terms must already be canonical
+    def _raw(cls, terms: Dict[int, int], content) -> "Poly":
+        # internal: terms must be primitive and content positive, as _primitive leaves them
         p = object.__new__(cls)
         p._terms = terms
+        p._content = content
         return p
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls._raw({})
+        return cls._raw({}, 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls.constant(1)
+        return cls._raw({0: 1}, 1)
 
     @classmethod
     def constant(cls, c) -> "Poly":
         c = Fraction(c)
-        return cls._raw({(): c} if c else {})
+        if not c:
+            return cls.zero()
+        return cls._raw({0: 1 if c > 0 else -1}, _rational(abs(c)))
 
     @classmethod
     def var(cls, index: int) -> "Poly":
-        if index < 0:
-            raise ValueError("variable indices are nonnegative")
-        return cls._raw({((index, 1),): Fraction(1)})
+        _check_var(index)
+        return cls._raw({1 << (_BITS * index): 1}, 1)
 
     # -- queries ---------------------------------------------------------
 
-    def terms(self) -> Iterable[Tuple[Monomial, Fraction]]:
-        return self._terms.items()
+    def terms(self) -> List[Tuple[Monomial, Rational]]:
+        """(monomial, coefficient) pairs; a coefficient is an int when integral."""
+        k = self._content
+        return [(_unpack(m), k * c) for m, c in self._terms.items()]
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_coeff(self) -> Fraction:
-        return self._terms.get((), _ZERO)
+        return Fraction(self._content * self._terms.get(0, 0))
 
     def variables(self) -> frozenset:
-        return frozenset(v for m in self._terms for v, _ in m)
+        return frozenset(v for v, _ in _unpack(reduce(operator.or_, self._terms, 0)))
 
     def degree_in(self, v: int) -> int:
-        deg = 0
-        for m in self._terms:
-            for var, e in m:
-                if var == v and e > deg:
-                    deg = e
-        return deg
+        shift = _BITS * v
+        return max(((m >> shift) & _MASK for m in self._terms), default=0)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -121,13 +182,13 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self._terms == other._terms
+            return self._content == other._content and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._content, frozenset(self._terms.items())))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -135,19 +196,34 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        a, b = self._content, other._content
+        if a == b:
+            ka = kb = 1
+        else:
+            # a*P + b*Q = (g/den) * (ka*P + kb*Q) with coprime ints ka, kb
+            den = math.lcm(a.denominator, b.denominator)
+            an = a.numerator * (den // a.denominator)
+            bn = b.numerator * (den // b.denominator)
+            g = math.gcd(an, bn)
+            ka, kb = an // g, bn // g
+            a = Fraction(g, den) if den > 1 else g
+        out = dict(self._terms) if ka == 1 else {m: ka * c for m, c in self._terms.items()}
         for m, c in other._terms.items():
-            s = out.get(m, _ZERO) + c
+            s = out.get(m, 0) + kb * c
             if s:
                 out[m] = s
             else:
-                out.pop(m, None)
-        return Poly._raw(out)
+                del out[m]
+        return Poly._raw(*_primitive(out, a))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw({m: -c for m, c in self._terms.items()})
+        return Poly._raw({m: -c for m, c in self._terms.items()}, self._content)
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -162,23 +238,29 @@ class Poly:
         return other + (-self)
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly.zero()
-            return Poly._raw({m: k * c for m, k in self._terms.items()})
         if not isinstance(other, Poly):
-            return NotImplemented
-        out: Dict[Monomial, Fraction] = {}
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not other or not self._terms:
+                return Poly.zero()
+            terms = self._terms if other > 0 else {m: -c for m, c in self._terms.items()}
+            return Poly._raw(terms, _rational(self._content * abs(other)))
+        if not self._terms or not other._terms:
+            return Poly.zero()
+        out: Dict[int, int] = {}
+        get = out.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = _mono_mul(m1, m2)
-                s = out.get(m, _ZERO) + c1 * c2
+                m = m1 + m2
+                s = get(m, 0) + c1 * c2
                 if s:
                     out[m] = s
                 else:
-                    out.pop(m, None)
-        return Poly._raw(out)
+                    del out[m]
+        hit = reduce(operator.or_, out, 0) & _GUARDS  # where a sum reached a guard bit
+        if hit:
+            raise _overflow(((hit & -hit).bit_length() - 1) // _BITS)
+        return Poly._raw(out, _rational(self._content * other._content))
 
     __rmul__ = __mul__
 
@@ -196,35 +278,29 @@ class Poly:
 
     # -- structure -------------------------------------------------------
 
+    def coeffs_in(self, v: int) -> Dict[int, "Poly"]:
+        """The nonzero coefficients of the powers of v, each a polynomial in
+        the other variables, keyed by the power."""
+        shift = _BITS * v
+        parts: Dict[int, Dict[int, int]] = {}
+        for m, c in self._terms.items():
+            k = (m >> shift) & _MASK
+            parts.setdefault(k, {})[m - (k << shift)] = c
+        return {k: Poly._raw(*_primitive(t, self._content)) for k, t in parts.items()}
+
     def coeff_of(self, v: int, k: int) -> "Poly":
         """Coefficient of v**k, as a polynomial in the other variables."""
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            e = 0
-            for var, ex in m:
-                if var == v:
-                    e = ex
-                    break
-            if e != k:
-                continue
-            out[tuple(p for p in m if p[0] != v)] = c
-        return Poly._raw(out)
+        shift = _BITS * v
+        part = {m - (k << shift): c for m, c in self._terms.items()
+                if (m >> shift) & _MASK == k}
+        return Poly._raw(*_primitive(part, self._content))
 
-    def content_and_primitive(self) -> Tuple[Fraction, "Poly"]:
+    def content_and_primitive(self) -> Tuple[Rational, "Poly"]:
         """Split into a positive rational content and a primitive part with
         coprime integer coefficients (sign pattern preserved)."""
-        if not self._terms:
-            return Fraction(1), self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self._terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = math.lcm(den_lcm, c.denominator)
-        content = Fraction(num_gcd, den_lcm)
-        if content == 1:
-            return content, self
-        inv = 1 / content
-        return content, Poly._raw({m: c * inv for m, c in self._terms.items()})
+        if self._content == 1:
+            return 1, self
+        return self._content, Poly._raw(self._terms, 1)
 
     # -- text ------------------------------------------------------------
 
@@ -232,9 +308,9 @@ class Poly:
         if not self._terms:
             return "0"
         parts = []
-        for m in sorted(self._terms, key=_mono_sort_key):
-            c = self._terms[m]
-            mono_s = _render_mono(m)
+        # graded order: total degree first, then the exponent tuple itself
+        for m, c in sorted(self.terms(), key=lambda t: (sum(e for _, e in t[0]), t[0])):
+            mono_s = "*".join(f"x{v + 1}" + (f"^{e}" if e > 1 else "") for v, e in m)
             mag = abs(c)
             if not mono_s:
                 body = str(mag)
@@ -262,88 +338,38 @@ def _coerce(value) -> "Poly":
 
 # -- parsing -------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>x\d+)|(?P<num>\d+(?:/\d+)?)|(?P<pow>\^|\*\*)|(?P<mul>\*)|(?P<sign>[+-]))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected input at {pos!r}: {rest[:20]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    return tokens
+# A term is signs, then '*'-separated factors, each a rational or a variable
+# power; whitespace may separate any two tokens, and the text may end in '*'.
+_FACTOR = r"(?:\d+(?:/\d+)?|x\d+(?:\s*(?:\^|\*\*)\s*\d+)?)"
+_TERM_RE = re.compile(
+    rf"\s*((?:[+-]\s*)*)({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*(?:\*\s*\Z)?")
+_FACTOR_RE = re.compile(r"x(\d+)(?:\s*(?:\^|\*\*)\s*(\d+))?|(\d+(?:/\d+)?)")
 
 
 def parse_poly(text: str) -> Poly:
     """Parse the rendered polynomial format: a signed sum of terms, each a
     '*'-separated product of a rational coefficient and variable powers,
     e.g. "1 - x1 - x2", "3/2*x1^2*x3"."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial text")
-    terms: Dict[Monomial, Fraction] = {}
-    i = 0
-    n_tok = len(tokens)
-    while i < n_tok:
-        sign = 1
-        while i < n_tok and tokens[i][0] == "sign":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n_tok:
-            raise ParseError("dangling sign")
-        coef = Fraction(sign)
+    terms: Dict[int, Fraction] = {}
+    pos = 0
+    while pos < len(text) or not pos:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ParseError(f"malformed polynomial at {pos}: {text[pos:pos + 20]!r}")
+        coef = -1 if m.group(1).count("-") % 2 else 1
         exps: Dict[int, int] = {}
-        expect_factor = True
-        saw_factor = False
-        while i < n_tok:
-            kind, text_v = tokens[i]
-            if kind == "sign" and not expect_factor:
-                break
-            if kind == "mul":
-                if expect_factor:
-                    raise ParseError("misplaced '*'")
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ParseError(f"missing '*' before {text_v!r}")
-            if kind == "num":
-                coef *= Fraction(text_v)
-                i += 1
-            elif kind == "var":
-                v = int(text_v[1:]) - 1
-                if v < 0:
-                    raise ParseError(f"bad variable {text_v!r}")
-                e = 1
-                if i + 1 < n_tok and tokens[i + 1][0] == "pow":
-                    if i + 2 >= n_tok or tokens[i + 2][0] != "num":
-                        raise ParseError("exponent expected after '^'")
-                    exp_text = tokens[i + 2][1]
-                    if "/" in exp_text:
-                        raise ParseError("exponents must be integers")
-                    e = int(exp_text)
-                    i += 2
-                exps[v] = exps.get(v, 0) + e
-                i += 1
+        for var, exp, num in _FACTOR_RE.findall(m.group(2)):
+            if num:
+                coef *= Fraction(num) if "/" in num else int(num)
+            elif not 1 <= int(var) <= _VARS:
+                raise ParseError(f"bad variable x{var}")
             else:
-                raise ParseError(f"unexpected token {text_v!r}")
-            expect_factor = False
-            saw_factor = True
-        if not saw_factor:
-            raise ParseError("empty term")
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        acc = terms.get(mono, _ZERO) + coef
+                exps[int(var) - 1] = exps.get(int(var) - 1, 0) + int(exp or 1)
+        mono = _pack(exps.items())
+        acc = terms.get(mono, 0) + coef
         if acc:
             terms[mono] = acc
         else:
             terms.pop(mono, None)
-    return Poly._raw(terms)
+        pos = m.end()
+    return Poly._raw(*_from_rationals(terms))

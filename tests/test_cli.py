@@ -1,8 +1,13 @@
 """Command-line interface tests: exit codes, output formats, batch mode."""
 
 import json
+import os
 import random
+import re
 import string
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,3 +347,32 @@ class TestGammaCheck:
     def test_nonpositive_n(self, capsys, n):
         code, out, err = run(capsys, ["gamma-check", "--n", n, "--format", "json"])
         assert code == 2 and out == "" and "--n" in err
+
+
+class TestRepeatedCalls:
+    """main keeps one parser for the life of the process."""
+
+    @staticmethod
+    def lone(argv):
+        """(exit code, stdout) of argv in a fresh interpreter."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "ct_forge.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout
+
+    def test_no_flag_leaks_between_calls(self, capsys, tmp_path):
+        path = tmp_path / "rational.json"
+        path.write_text(json.dumps({"num": "1", "den": [
+            ["1 - x1", 2], ["1 - x2", 2], ["x2 - x1", 1]]}))
+        calls = [["verify", "--family", "mm", "--n", "2", "--order", "2,1"],
+                 ["ct", str(path)],
+                 ["verify", "--family", "mm", "--n", "two"],
+                 ["verify", "--family", "mm", "--n", "2"]]
+        in_process = [run(capsys, argv)[:2] for argv in calls]
+        assert [code for code, _ in in_process] == [1, 0, 2, 0]
+        timing = re.compile(r"\(\d+\.\d ms\)")
+        for argv, (code, out) in zip(calls, in_process):
+            lone_code, lone_out = self.lone(argv)
+            assert (code, timing.sub("", out)) == (lone_code, timing.sub("", lone_out)), argv

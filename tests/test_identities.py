@@ -181,6 +181,15 @@ class TestVerify:
         report = verify(IdentitySpec.create("morris", 2, a=0, b=0, twoc=1))
         assert report.equal and report.lhs == 0
 
+    @pytest.mark.parametrize("family,n,kwargs", [
+        ("mm", 5, {}),
+        ("cry", 8, {}),
+        ("thm", 4, {"a": 3, "twoc": 2}),
+        ("morris", 6, {"a": 2, "b": 2, "twoc": 2}),
+    ])
+    def test_engine_size_instances(self, family, n, kwargs):
+        assert verify(IdentitySpec.create(family, n, **kwargs)).equal
+
     def test_series_oracle_agreement_n2(self):
         # every family at n = 2 against the independent series oracle
         cases = [(IdentitySpec.create("cry", 2), (0, 2, 1, 0)),

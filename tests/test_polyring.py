@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ct_forge.errors import ParseError
+import poly_reference as ref
+from ct_forge.errors import ExponentOverflowError, ParseError
 from ct_forge.polyring import Poly, parse_poly
 
 x1, x2, x3 = Poly.var(0), Poly.var(1), Poly.var(2)
@@ -24,6 +25,15 @@ polys = st.dictionaries(
     max_size=5,
 ).map(Poly)
 scalars = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+# Reference-form polynomials in up to 4 variables with rational coefficients.
+ref_monomials = st.dictionaries(st.integers(0, 3), st.integers(1, 4), max_size=4).map(
+    lambda exps: tuple(sorted(exps.items())))
+ref_polys = st.dictionaries(
+    ref_monomials,
+    st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool),
+    max_size=6,
+)
 
 
 class TestConstruction:
@@ -87,6 +97,69 @@ class TestArithmetic:
             assert v not in part.variables()
             total = total + part * xv ** k
         assert total == p
+
+
+class TestAgainstReference:
+    """The packed integer core against the dict-of-Fraction reference."""
+
+    @given(ref_polys, ref_polys, scalars, st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=150, derandomize=True)
+    def test_operations(self, a, b, s, v, e):
+        p, q = Poly(a), Poly(b)
+        assert ref.of(p) == a
+        assert ref.of(p + q) == ref.add(a, b)
+        assert ref.of(p - q) == ref.add(a, ref.neg(b))
+        assert ref.of(p * q) == ref.mul(a, b)
+        assert ref.of(p * s) == {m: c * s for m, c in a.items() if c * s}
+        assert ref.of(p ** e) == ref.power(a, e)
+        assert p.degree_in(v) == ref.degree_in(a, v)
+        for k in range(ref.degree_in(a, v) + 2):
+            assert ref.of(p.coeff_of(v, k)) == ref.coeff_of(a, v, k)
+        c, prim = p.content_and_primitive()
+        assert c == ref.content(a)
+        assert ref.of(prim) == {m: x / c for m, x in a.items()}
+        assert all(Fraction(x).denominator == 1 for _, x in prim.terms())
+        assert parse_poly(str(p)) == p
+        assert (p == q) == (a == b)
+        for same in (Poly(dict(reversed(list(a.items())))), (p + q) - q, (p * 3) * Fraction(1, 3)):
+            assert same == p and hash(same) == hash(p)
+
+
+class TestExponentField:
+    TOP = 2 ** 15 - 1  # a 16-bit field less its guard bit
+
+    def test_largest_exponent_fits(self):
+        p = x2 ** self.TOP
+        assert p.degree_in(1) == self.TOP
+        assert p.degree_in(0) == p.degree_in(2) == 0
+        assert x2 ** (self.TOP // 2) * x2 ** (self.TOP - self.TOP // 2) == p
+        assert (p * x1 * x3).variables() == frozenset({0, 1, 2})
+        assert parse_poly(f"x2^{self.TOP}") == Poly({((1, self.TOP),): 1}) == p
+        assert str(p) == f"x2^{self.TOP}"
+
+    @pytest.mark.parametrize("make", [
+        lambda top: x2 ** top * x2,
+        lambda top: x2 ** (top + 1),
+        lambda top: parse_poly(f"x2^{top + 1}"),
+        lambda top: parse_poly(f"x2^{top}*x2"),
+        lambda top: Poly({((1, top + 1),): 1}),
+        lambda top: Poly({((1, top), (1, 1)): 1}),
+        lambda top: Poly.var(1023) ** top * Poly.var(1023),  # the last field
+    ])
+    def test_one_more_raises(self, make):
+        with pytest.raises(ExponentOverflowError):
+            make(self.TOP)
+
+
+    def test_variable_index_bound(self):
+        assert (Poly.var(1023) * x1).variables() == frozenset({0, 1023})
+        assert parse_poly("x1024^2") == Poly.var(1023) ** 2
+        with pytest.raises(ValueError):
+            Poly.var(1024)
+        with pytest.raises(ValueError):
+            Poly({((1024, 1),): 1})
+        with pytest.raises(ParseError):
+            parse_poly("x1025")
 
 
 class TestQueries:
