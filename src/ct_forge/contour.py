@@ -11,9 +11,10 @@ the per-circle sample count N, and halving is checked by comparing N
 against 2N rather than by any error expansion.
 
 _sample never forms the whole N**n grid: each factor is evaluated on the
-axes of its own variables, the factors on one axis set are multiplied,
-each set is folded into one that contains it, and what is left is summed
-by np.sum or one np.einsum.  Grids over _SAMPLE_BUDGET points are refused.
+axes of its own variables, the factors on one axis set are multiplied in
+place into the set's first array, each set is folded into one that
+contains it, and what is left is summed by np.sum or one np.einsum.
+Grids over _SAMPLE_BUDGET points are refused.
 Only the sampling functions import numpy, so importing this module (as the
 CLI does for every subcommand) starts no BLAS threads.
 
@@ -21,7 +22,8 @@ contour_ct samples the origin torus r_j = j*epsilon that the caller states.
 contour_ct_converged samples a torus whose radii are read off the
 integrand's factors (see _chosen_radii): as wide as the expansion domain
 allows, which keeps the mean |f|, and with it the float64 noise floor,
-small while the error still decays like 0.5**N.
+small while the error still decays like 0.5**N, and so the N-doubling
+starts where 0.5**N meets the tolerance.
 
 The module also evaluates the four-form substitution chain for the thm
 family.  Written in u = w - centre, with the measure u_j and the form's
@@ -65,9 +67,6 @@ class QuadratureConfig:
         if self.points < 2 or self.points & (self.points - 1):
             raise ConfigError(f"points must be a power of two >= 2, got {self.points}")
 
-    def doubled(self) -> "QuadratureConfig":
-        return QuadratureConfig(self.epsilon, 2 * self.points)
-
 
 def default_epsilon(n: int, shifted: bool = False) -> float:
     """Default base radius: 0.05/n for the oracle's origin torus, 0.0125/n
@@ -91,17 +90,6 @@ def converged(v1: complex, v2: complex, tol: float) -> bool:
     return abs(v1 - v2) <= tol * max(1.0, abs(v2))
 
 
-def _circle(radius: float, points: int) -> np.ndarray:
-    import numpy as np
-    angles = 2.0 * np.pi * np.arange(points) / points
-    return radius * np.exp(1j * angles)
-
-
-def _broadcast_axes(circles: Sequence[np.ndarray]) -> List[np.ndarray]:
-    n = len(circles)
-    return [c.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j)) for j, c in enumerate(circles)]
-
-
 def _poly_on_grid(p: Poly, xs: Sequence[np.ndarray]):
     import numpy as np
     total = 0
@@ -110,9 +98,7 @@ def _poly_on_grid(p: Poly, xs: Sequence[np.ndarray]):
         for v, e in mono:
             term = term * xs[v] ** e
         total = total + term
-    if np.isscalar(total):
-        total = np.asarray(total, dtype=complex)
-    return total
+    return np.asarray(total, dtype=complex)
 
 
 def _origin_radii(n: int, epsilon: float) -> List[float]:
@@ -137,25 +123,31 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     if points ** n > _SAMPLE_BUDGET:
         raise ConfigError(f"n={n} at N={points} needs points**n = {points ** n} "
                           f"samples, over the budget of {_SAMPLE_BUDGET}")
-    xs = _broadcast_axes([_circle(r, points) for r in radii])
+    unit = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
+    xs = [(r * unit).reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
+          for j, r in enumerate(radii)]
     num, den = {}, {}  # axes -> product of the factors on exactly those axes
 
-    def put(group, vals):
-        axes = tuple(j for j, size in enumerate(np.shape(vals)) if size > 1)
-        group[axes] = group[axes] * vals if axes in group else vals
+    def put(group, vals, times=1):  # vals is fresh: it may become the buffer
+        axes = tuple(j for j, size in enumerate(vals.shape) if size > 1)
+        buf = group.get(axes)
+        if buf is None:  # never vals *= vals: v*v*v on an aliased buffer is v**4
+            buf = group[axes] = vals if times == 1 else vals * vals
+            times -= min(times, 2)
+        for _ in range(times):  # numpy's complex power is slower for exp != 2
+            np.multiply(buf, vals, out=buf)
 
     put(num, _poly_on_grid(f.num, xs))
     for base, exp in f.den:
-        vals = _poly_on_grid(base, xs)
-        for _ in range(exp):  # numpy's complex power is slower for exp != 2
-            put(den, vals)
+        put(den, _poly_on_grid(base, xs), exp)
     for base in roots:
         vals = _poly_on_grid(base, xs)
         if not np.all(vals.real > 0):
             raise ConfigError("square-root factor left the right half-plane")
         put(den, np.sqrt(vals))
-    groups = {axes: num.pop(axes, 1) / vals for axes, vals in den.items()}
-    groups.update(num)
+    for axes, buf in den.items():
+        np.divide(num.pop(axes, 1), buf, out=buf)
+    groups = {**den, **num}
     for axes in sorted(groups, key=len):
         hosts = [b for b in groups if set(axes) < set(b)]
         if hosts:
@@ -251,7 +243,7 @@ def contour_ct_converged(
         spec: IdentitySpec,
         epsilon: Optional[float] = None,
         tol: float = 1e-6,
-        start_points: int = 64,
+        start_points: Optional[int] = None,
         max_points: int = 2048) -> Tuple[complex, int, bool]:
     """Double the sample count until two successive estimates agree to tol;
     returns (estimate, points, converged).
@@ -263,20 +255,32 @@ def contour_ct_converged(
     max |h1*v / h0| below 1 on it, and so does every h0 in turn.  That is
     the condition under which ct_var's geometric series converge, and the
     origin torus meets it too, so both tori have the same constant term.
-    Raises ConfigError when the rule cannot hold on either torus."""
+    start_points defaults to the least power of two N with _TORUS_RATIO**N
+    <= tol (32 at tol 1e-6); pole orders can need more, which comparing N
+    with 2N finds.  Raises ConfigError unless max_points = start_points *
+    2**k, k >= 1, or when the expansion rule cannot hold on either torus."""
+    if not (tol > 0):
+        raise ConfigError("tolerance must be positive")
     if epsilon is None:
         epsilon = default_epsilon(spec.n)
-    cfg = QuadratureConfig(epsilon, start_points)
+    if start_points is None:
+        start_points = 2
+        while _TORUS_RATIO ** start_points > tol:
+            start_points *= 2
+    points = QuadratureConfig(epsilon, start_points).points
+    if max_points not in {start_points << k for k in range(1, 64)}:
+        raise ConfigError(f"max_points={max_points} must be start_points="
+                          f"{start_points} times a power of two >= 2")
     f = build_integrand(spec)
     radii = _chosen_radii(f, _origin_radii(spec.n, epsilon))
-    value = _sample(f, radii, cfg.points)
-    while cfg.points < max_points:
-        cfg = cfg.doubled()
-        nxt = _sample(f, radii, cfg.points)
+    value = _sample(f, radii, points)
+    while points < max_points:
+        points *= 2
+        nxt = _sample(f, radii, points)
         if converged(value, nxt, tol):
-            return nxt, cfg.points, True
+            return nxt, points, True
         value = nxt
-    return value, cfg.points, False
+    return value, points, False
 
 
 # -- the substitution chain -------------------------------------------------

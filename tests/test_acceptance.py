@@ -138,8 +138,8 @@ def test_criterion_7_oracle_agreement(capsys):
     # exact value 300, about eleven orders of magnitude below the
     # integrand's mean magnitude there, and a relative float64 noise floor
     # near 7e-6 at any N, above the 1e-6 tolerance.  The wider chosen torus
-    # brings that mean magnitude down, so the instance converges at N=128
-    # to about 1e-13 (see README.md, "Numerical accuracy of the oracle").
+    # brings that mean magnitude down, so the instance converges at N=64
+    # to about 5e-14 (see README.md, "Numerical accuracy of the oracle").
     specs = all_grid_specs_n_le_3()
     start = time.perf_counter()
     worst_rel = 0.0

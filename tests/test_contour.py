@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from ct_forge import contour
 from ct_forge.contour import (
     ChainForm,
     QuadratureConfig,
@@ -39,9 +40,6 @@ class TestQuadratureConfig:
     def test_defaults(self):
         cfg = QuadratureConfig()
         assert cfg.epsilon == 0.025 and cfg.points == 1024
-
-    def test_doubled(self):
-        assert QuadratureConfig(0.01, 64).doubled().points == 128
 
     @pytest.mark.parametrize("eps,points", [
         (0.0, 64), (-0.1, 64), (0.01, 0), (0.01, 1), (0.01, 100),
@@ -113,6 +111,59 @@ class TestContourCt:
         with pytest.raises(ConfigError):
             contour_ct_converged(IdentitySpec.create("cry", 2), epsilon=0.05)
 
+    @pytest.mark.parametrize("start,top", [(64, 100), (64, 64), (64, 32), (None, 48)])
+    def test_max_points_must_double_the_start(self, start, top):
+        """max_points is start_points times 2**k, k >= 1; the derived start
+        at tol 1e-6 is 32."""
+        with pytest.raises(ConfigError, match=f"max_points={top} .*start_points="
+                                              f"{start or 32} "):
+            contour_ct_converged(IdentitySpec.create("mm", 2),
+                                 start_points=start, max_points=top)
+
+
+class TestConvergedStart:
+    """By default the doubling starts at the smallest N with 0.5**N <= tol;
+    the comparison of N with 2N still decides."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        counts = []
+
+        def recording(f, radii, points, roots=()):
+            counts.append(points)
+            return _sample(f, radii, points, roots)
+
+        monkeypatch.setattr(contour, "_sample", recording)
+        return counts
+
+    @pytest.mark.parametrize("tol,start", [(1e-6, 32), (1e-10, 64)])
+    def test_start_derived_from_tol(self, sampled, tol, start):
+        contour_ct_converged(IdentitySpec.create("mm", 2), tol=tol)
+        assert sampled[0] == start
+
+    @pytest.mark.parametrize("spec,points", [
+        (IdentitySpec.create("mm", 3), 64),
+        (IdentitySpec.create("thm", 3, a=3, twoc=2), 128)])
+    def test_default_call(self, spec, points):
+        """thm n=3 a=3 twoc=2 is still 3.2e-5 off at N=32, where 0.5**32 is
+        2e-10: its pole orders multiply the decay by a polynomial in N."""
+        value, used, ok = contour_ct_converged(spec)
+        assert ok and used == points
+        assert rel_err(value, rhs(spec)) < 1e-6
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tolerance_refused_before_sampling(self, sampled, tol):
+        """The start derivation would never end on a tolerance <= 0."""
+        with pytest.raises(ConfigError, match="tolerance"):
+            contour_ct_converged(IdentitySpec.create("mm", 2), tol=tol)
+        assert sampled == []
+
+    def test_explicit_start_is_honoured(self, sampled):
+        value, used, ok = contour_ct_converged(IdentitySpec.create("mm", 3),
+                                               start_points=64)
+        assert ok and used == 128 and sampled == [64, 128]
+        assert rel_err(value, 5120) < 1e-6
+
 
 class TestContraction:
     """_sample sums factor tensors on their own axes; these compare it with
@@ -147,6 +198,23 @@ class TestContraction:
 
         expected = self.brute_force_mean(integrand)
         value = _sample(f, self.RADII, self.POINTS, roots)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("exp", [3, 4])
+    def test_repeated_factors(self, exp):
+        """A base with exponent e is multiplied in e times; its own values
+        must never become the buffer they are multiplied into.  Covers a
+        single-axis base, a pair base and two bases on one pair axis set."""
+        f = FactoredRational.create(parse_poly("1 + x1*x2"), [
+            (parse_poly("2 - x1"), exp), (parse_poly("3 - x1 + x2"), exp),
+            (parse_poly("4 + x1 + x2"), exp)])
+
+        def integrand(x1, x2, x3):
+            return ((1 + x1 * x2) / ((2 - x1) * (3 - x1 + x2) * (4 + x1 + x2)) ** exp
+                    + 0 * x3)
+
+        expected = self.brute_force_mean(integrand)
+        value = _sample(f, self.RADII, self.POINTS)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_uncovered_axis(self):
