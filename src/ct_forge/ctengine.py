@@ -116,10 +116,10 @@ class FactoredRational:
         return f"({self.num}) / [{parts}]"
 
 
-def _powers(p: Poly, top: int) -> List[Poly]:
-    """p**0 .. p**top, each from the one before."""
-    out = [Poly.one()]
-    for _ in range(top):
+def _powers(p: Poly, lo: int, hi: int) -> List[Poly]:
+    """p**lo .. p**hi, each after the first from the one before."""
+    out = [p ** lo]
+    for _ in range(hi - lo):
         out.append(out[-1] * p)
     return out
 
@@ -130,15 +130,15 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     Denominator factors split three ways by their shape in v: v-free factors
     pass through untouched, pure monomials c*v shift which numerator
     coefficient is wanted, and affine factors with nonzero v-free part h0
-    expand as geometric series.  The result is the coefficient of v**shift
-    in the convolution of those series with the numerator, written over
-    denominator bases h0**(exp+shift).
+    expand as geometric series.  The result is the coefficient of v**M, M
+    the total monomial shift, in the product of those series with the
+    numerator, written over denominator bases h0**(exp+M).
     """
     if f.is_zero():
         return f
     passthrough: List[Factor] = []
     series_factors: List[Tuple[Poly, Poly, int]] = []  # (h0, h1, exp)
-    shift = 0
+    M = 0  # the monomial shift: the power of v whose coefficient is wanted
     mono_scale = 1
     for base, exp in f.den:
         d = base.degree_in(v)
@@ -155,37 +155,35 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
                 raise ZeroConstantError(
                     f"factor ({base}) contains x{v + 1} but has no x{v + 1}-free part "
                     "and is not a pure monomial")
-            shift += exp
+            M += exp
             mono_scale /= h1.constant_coeff() ** exp
             continue
         series_factors.append((h0, h1, exp))
 
-    # Wanted: coefficient of v**shift in num * prod (h0 + h1*v)**-exp.
-    # Each factor's series is truncated at order M = shift and cleared of
-    # negative powers by the common per-factor denominator h0**(exp+M), so
-    # the convolution below is purely polynomial.  Series powers are
-    # nonnegative, so numerator terms above v**M cannot reach it.
-    M = shift
+    # Wanted: coefficient of v**M in num * prod (h0 + h1*v)**-exp.
+    # Each factor's series is cleared of negative powers by the per-factor
+    # denominator h0**(exp+M), so the products below are purely polynomial:
+    # the series term in v**t is C(exp+t-1, t) * (-h1)**t * h0**(M-t).  Series
+    # powers are nonnegative, so numerator terms above v**M never reach v**M,
+    # and with lo the lowest v-degree kept only series terms t <= M - lo do.
+    # Every factor but the last convolves up to v**M; the last forms only
+    # the v**M coefficient, a dot product over the accumulated degrees.
     acc = {d: p for d, p in f.num.coeffs_in(v).items() if d <= M}
-
-    out_den: List[Factor] = list(passthrough)
-    for h0, h1, exp in series_factors:
-        out_den.append((h0, exp + M))
-        if not M:
-            continue  # at M = 0 the cleared series is the constant 1
-        # series coefficient of v**t over that denominator:
-        #   C(exp+t-1, t) * (-h1)**t * h0**(M-t)
-        h0_pows, neg_h1_pows = _powers(h0, M), _powers(-h1, M)
-        fac_series = [math.comb(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[M - t]
-                      for t in range(M + 1)]
+    out_den = passthrough + [(h0, exp + M) for h0, _, exp in series_factors]
+    top, last = M - min(acc, default=M), len(series_factors) - 1
+    for i, (h0, h1, exp) in enumerate(series_factors if M and acc else ()):
+        h0_pows, neg_h1_pows = _powers(h0, M - top, M), _powers(-h1, 0, top)
+        fac = {t: math.comb(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[top - t]
+               for t in ([M - d for d in acc] if i == last else range(top + 1))}
+        if i == last:
+            prods = [p * fac[M - d] for d, p in acc.items()]
+            acc = {M: sum(prods[1:], prods[0])}
+            break
         new_acc: Dict[int, Poly] = {}
         for d, p in acc.items():
             for t in range(M + 1 - d):
-                q = p * fac_series[t]
-                if q.is_zero():
-                    continue
-                k = d + t
-                new_acc[k] = new_acc[k] + q if k in new_acc else q
+                q = p * fac[t]
+                new_acc[d + t] = new_acc[d + t] + q if d + t in new_acc else q
         acc = new_acc
 
     target = acc.get(M, Poly.zero()) * mono_scale
@@ -213,6 +211,8 @@ def factored_from_json(obj: dict) -> FactoredRational:
     try:
         num = parse_poly(obj["num"])
         den = [(parse_poly(base), exp) for base, exp in obj["den"]]
+        if extra := sorted(set(obj) - {"num", "den"}):
+            raise ParseError(f"unknown keys in factored-rational object: {', '.join(extra)}")
         return FactoredRational.create(num, den)
     except ParseError:
         raise

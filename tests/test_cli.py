@@ -232,6 +232,12 @@ class TestCt:
         code, out, err = run(capsys, ["ct", path])
         assert code == 2 and out == "" and "zero polynomial" in err
 
+    def test_unknown_top_level_key(self, capsys, tmp_path):
+        # an "order" key must not quietly answer the default-order question
+        path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", 2]], "order": "2,1"})
+        code, out, err = run(capsys, ["ct", path])
+        assert code == 2 and out == "" and "order" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, ["ct", str(tmp_path / "absent.json")])
         assert code == 2

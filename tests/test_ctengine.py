@@ -8,9 +8,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ct_var_reference
 import oracle_series
 import rationals
 from ct_forge.ctengine import (
@@ -152,6 +153,60 @@ class TestLinearity:
         lhs = ct_var(rationals.add(f, g), v)
         rhs = rationals.add(ct_var(f, v), ct_var(g, v))
         assert rationals.equivalent(lhs, rhs)
+
+
+@st.composite
+def step_inputs(draw):
+    """(f, v): a 2- or 3-variable rational with at least two affine factors
+    in v, a monomial shift of 0-4 and a numerator with gaps in its v-degrees."""
+    n_vars = draw(st.integers(2, 3))
+    v = draw(st.integers(0, n_vars - 1))
+    xv, others = Poly.var(v), [Poly.var(j) for j in range(n_vars) if j != v]
+    coeffs = st.lists(st.integers(-2, 2), min_size=n_vars, max_size=n_vars).filter(any)
+
+    def v_free():
+        c = draw(coeffs)
+        return c[0] + sum(k * x for k, x in zip(c[1:], others))
+
+    den = [(v_free() + v_free() * xv, draw(st.integers(1, 3)))
+           for _ in range(draw(st.integers(2, 3)))]
+    shift = draw(st.integers(0, 4))
+    if shift:
+        den.append((draw(st.sampled_from([1, -1, 2])) * xv, shift))
+    if draw(st.booleans()):
+        den.append((one - others[0], draw(st.integers(1, 2))))
+    degrees = draw(st.sets(st.integers(0, 6), min_size=1, max_size=4))
+    num = sum((v_free() * xv ** d for d in degrees), Poly.zero())
+    f = rational(num, den)
+    assume(sum(b.degree_in(v) == 1 and not b.coeff_of(v, 0).is_zero()
+               for b, _ in f.den) >= 2)
+    return f, v
+
+
+class TestStepIdentity:
+    """ct_var forms only the series terms that reach v**M; the reference
+    forms them all.  Both must give the same FactoredRational, num and den."""
+
+    @given(step_inputs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_full_convolution(self, case):
+        f, v = case
+        assert ct_var(f, v) == ct_var_reference.ct_var(f, v)
+
+    @pytest.mark.parametrize("num,den,expect", [
+        # M = 0: every cleared series is 1, so the numerator's x1^0 part stays
+        (one + x1 + x2 * x1 * x1, [(one - x1, 1), (x2 - x1, 2)], rational(one, [(x2, 2)])),
+        # one affine factor: coefficient of x1^2 in x2 * (x2 - x1)^-2 is 3/x2^3
+        (x2, [(x1, 2), (x2 - x1, 2)], rational(3 * x2, [(x2, 4)])),
+        # no numerator term of degree <= M: the result is zero
+        (x1 ** 3 + x1 ** 4 * x2, [(x1, 2), (one - x1, 1), (x2 - x1, 1)], rational(Poly.zero())),
+        # lowest numerator degree equals M: only the t = 0 series terms
+        (x1 * x1 * x2, [(x1, 2), (one - x1 - x2, 1), (x2 - x1, 1)],
+         rational(x2 ** 3 * (one - x2) ** 2, [(one - x2, 3), (x2, 3)])),
+    ])
+    def test_fixed_cases(self, num, den, expect):
+        f = rational(num, den)
+        assert ct_var(f, 0) == ct_var_reference.ct_var(f, 0) == expect
 
 
 def two_var_integrand(p, q, r, w, flip=False):

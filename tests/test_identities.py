@@ -190,6 +190,17 @@ class TestVerify:
     def test_engine_size_instances(self, family, n, kwargs):
         assert verify(IdentitySpec.create(family, n, **kwargs)).equal
 
+    # The benchmark's frontier set, pinned: the exact engine well past n=4.
+    @pytest.mark.parametrize("family,n,kwargs,lhs", [
+        ("mm", 6, {}, 53337309063413760),
+        ("cry", 10, {}, 38883505145515430400),
+        ("thm", 5, {"a": 2, "twoc": 2}, 551304948520662336000),
+        ("morris", 7, {"a": 2, "b": 2, "twoc": 2}, 224737840779305293440000),
+    ])
+    def test_frontier_instances(self, family, n, kwargs, lhs):
+        report = verify(IdentitySpec.create(family, n, **kwargs))
+        assert report.equal and report.lhs == lhs
+
     def test_series_oracle_agreement_n2(self):
         # every family at n = 2 against the independent series oracle
         cases = [(IdentitySpec.create("cry", 2), (0, 2, 1, 0)),
