@@ -32,6 +32,7 @@ from .ctengine import CTOrder, ct_iterated, factored_loads
 from .errors import CTForgeError
 from .exactarith import thm_rhs
 from .identities import (
+    IdentityFamily,
     IdentitySpec,
     check_cat_identity,
     check_ratio_identity,
@@ -192,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_flags(p):
-        p.add_argument("--family", choices=["cry", "mm", "morris", "thm"])
+        p.add_argument("--family", choices=[f.value for f in IdentityFamily])
         p.add_argument("--n", type=int)
         p.add_argument("--a", type=int)
         p.add_argument("--b", type=int)

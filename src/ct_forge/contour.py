@@ -18,12 +18,12 @@ Grids over _SAMPLE_BUDGET points are refused.
 Only the sampling functions import numpy, so importing this module (as the
 CLI does for every subcommand) starts no BLAS threads.
 
-contour_ct samples the origin torus r_j = j*epsilon that the caller states.
-contour_ct_converged samples a torus whose radii are read off the
-integrand's factors (see _chosen_radii): as wide as the expansion domain
-allows, which keeps the mean |f|, and with it the float64 noise floor,
-small while the error still decays like 0.5**N, and so the N-doubling
-starts where 0.5**N meets the tolerance.
+contour_ct_converged checks the origin torus r_j = j*epsilon the caller
+states (n <= 4, n*epsilon < 0.1) and samples a torus whose radii are read
+off the integrand's factors (see _chosen_radii): as wide as the expansion
+domain allows, which keeps the mean |f|, and with it the float64 noise
+floor, small while the error still decays like 0.5**N, and so the
+N-doubling starts where 0.5**N meets the tolerance.
 
 The module also evaluates the four-form substitution chain for the thm
 family.  Written in u = w - centre, with the measure u_j and the form's
@@ -162,15 +162,6 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     return complex(total) / points ** len(set().union(*groups))
 
 
-def contour_ct(spec: IdentitySpec, cfg: QuadratureConfig) -> complex:
-    """Quadrature estimate of the constant term of the spec's integrand on
-    circles |x_j| = j*epsilon.  The imaginary part of the result is an
-    error indicator; convergence is the caller's job (compare N with 2N,
-    or use contour_ct_converged)."""
-    radii = _origin_radii(spec.n, cfg.epsilon)
-    return _sample(build_integrand(spec), radii, cfg.points)
-
-
 # -- the torus of the converged oracle --------------------------------------
 
 # The worst ratio |h1*v / h0| the chosen torus allows.  The trapezoidal
@@ -249,12 +240,13 @@ def contour_ct_converged(
     returns (estimate, points, converged).
 
     epsilon states the origin torus |x_j| = j*epsilon (default 0.05/n),
-    refused outside n*epsilon < 0.1 as in contour_ct.  The samples are
-    taken on the torus _chosen_radii reads off the integrand's factors:
-    every affine base h0 + h1*v, v its first-eliminated variable, keeps
-    max |h1*v / h0| below 1 on it, and so does every h0 in turn.  That is
-    the condition under which ct_var's geometric series converge, and the
-    origin torus meets it too, so both tori have the same constant term.
+    refused before the integrand is built unless n <= 4 and
+    n*epsilon < 0.1.  The samples are taken on the torus _chosen_radii
+    reads off the integrand's factors: every affine base h0 + h1*v, v its
+    first-eliminated variable, keeps max |h1*v / h0| below 1 on it, and
+    so does every h0 in turn.  That is the condition under which ct_var's
+    geometric series converge, and the origin torus meets it too, so both
+    tori have the same constant term.
     start_points defaults to the least power of two N with _TORUS_RATIO**N
     <= tol (32 at tol 1e-6); pole orders can need more, which comparing N
     with 2N finds.  Raises ConfigError unless max_points = start_points *
@@ -271,8 +263,9 @@ def contour_ct_converged(
     if max_points not in {start_points << k for k in range(1, 64)}:
         raise ConfigError(f"max_points={max_points} must be start_points="
                           f"{start_points} times a power of two >= 2")
+    origin = _origin_radii(spec.n, epsilon)
     f = build_integrand(spec)
-    radii = _chosen_radii(f, _origin_radii(spec.n, epsilon))
+    radii = _chosen_radii(f, origin)
     value = _sample(f, radii, points)
     while points < max_points:
         points *= 2

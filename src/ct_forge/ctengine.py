@@ -108,13 +108,6 @@ class FactoredRational:
             val /= base.constant_coeff() ** exp
         return val
 
-    def __str__(self) -> str:
-        if not self.den:
-            return str(self.num)
-        parts = " * ".join(
-            f"({base})" + (f"^{exp}" if exp > 1 else "") for base, exp in self.den)
-        return f"({self.num}) / [{parts}]"
-
 
 def _powers(p: Poly, lo: int, hi: int) -> List[Poly]:
     """p**lo .. p**hi, each after the first from the one before."""
@@ -149,7 +142,8 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
             raise NonAffineError(
                 f"factor ({base}) has degree {d} in x{v + 1}; "
                 "constant-term extraction needs affine factors")
-        h0, h1 = base.coeff_of(v, 0), base.coeff_of(v, 1)
+        parts = base.coeffs_in(v)
+        h0, h1 = parts.get(0, Poly.zero()), parts[1]
         if h0.is_zero():
             if not h1.is_constant():
                 raise ZeroConstantError(
@@ -207,7 +201,11 @@ def ct_iterated(f: FactoredRational, order: Optional[CTOrder] = None) -> Fractio
 
 # -- JSON interchange ------------------------------------------------------
 
-def factored_from_json(obj: dict) -> FactoredRational:
+def factored_loads(text: str) -> FactoredRational:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc}") from exc
     try:
         num = parse_poly(obj["num"])
         den = [(parse_poly(base), exp) for base, exp in obj["den"]]
@@ -218,11 +216,3 @@ def factored_from_json(obj: dict) -> FactoredRational:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed factored-rational object: {exc}") from exc
-
-
-def factored_loads(text: str) -> FactoredRational:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    return factored_from_json(obj)

@@ -11,26 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import DomainError, NonRationalError, PoleError
-
-
-@dataclass(frozen=True)
-class HalfInt:
-    """A half integer q stored exactly as ``twice`` = 2q."""
-
-    twice: int
-
-    @property
-    def is_nonpositive_integer(self) -> bool:
-        return self.twice % 2 == 0 and self.twice <= 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
 
 
 @dataclass(frozen=True)
@@ -60,18 +43,17 @@ class GammaValue:
         return self.rational_part
 
 
-def gamma_half(q: HalfInt) -> GammaValue:
-    """Exact Gamma at a half integer, via the recurrence from Gamma(1) = 1 and
-    Gamma(1/2) = sqrt(pi).
+def gamma_half(t: int) -> GammaValue:
+    """Exact Gamma at the half integer t/2, via the recurrence from
+    Gamma(1) = 1 and Gamma(1/2) = sqrt(pi).
 
     Negative half integers are fine (e.g. Gamma(-1/2) = -2 sqrt(pi));
     nonpositive integers are poles.
     """
-    t = q.twice
     if t % 2 == 0:
         n = t // 2
         if n <= 0:
-            raise PoleError(f"Gamma({q}) is a pole")
+            raise PoleError(f"Gamma({n}) is a pole")
         return GammaValue(Fraction(math.factorial(n - 1)), 0)
     rat = Fraction(1)
     if t > 1:
@@ -100,28 +82,26 @@ def catalan_product(n: int) -> Fraction:
     return prod
 
 
-def _gamma_quotient(num_twice: Iterable[int],
-                    den_twice: Iterable[int]) -> Optional[Fraction]:
+def gamma_quotient(num_twice: Iterable[int], den_twice: Iterable[int]) -> Fraction:
     """prod Gamma(num)/prod Gamma(den), arguments in twice-units.
 
-    Returns None when any denominator argument is a nonpositive integer:
-    the reciprocal of a Gamma pole is zero and collapses the whole product,
+    Returns 0 when any denominator argument is a nonpositive integer: the
+    reciprocal of a Gamma pole is zero and collapses the whole product,
     even if a numerator argument is also a pole (that is the convention that
     keeps the closed-form evaluators total at a = 0).  A numerator pole with
     a pole-free denominator raises PoleError; a leftover sqrt(pi) power
     raises NonRationalError.
     """
     den = list(den_twice)
-    if any(HalfInt(t).is_nonpositive_integer for t in den):
-        return None
+    if any(t <= 0 and t % 2 == 0 for t in den):
+        return Fraction(0)
     acc = GammaValue(Fraction(1), 0)
     for t in num_twice:
-        q = HalfInt(t)
-        if q.is_nonpositive_integer:
-            raise PoleError(f"Gamma({q}) pole in a numerator")
-        acc = acc * gamma_half(q)
+        if t <= 0 and t % 2 == 0:
+            raise PoleError(f"Gamma({t // 2}) pole in a numerator")
+        acc = acc * gamma_half(t)
     for t in den:
-        acc = acc / gamma_half(HalfInt(t))
+        acc = acc / gamma_half(t)
     return acc.to_fraction()
 
 
@@ -136,10 +116,7 @@ def _morris_form(n: int, twoa: int, twob: int, twoc: int) -> Fraction:
         den.append(twoa + j * twoc)
         den.append(twoc + j * twoc)
         den.append(twob + j * twoc + 2)
-    q = _gamma_quotient(num, den)
-    if q is None:
-        return Fraction(0)
-    return q / math.factorial(n)
+    return gamma_quotient(num, den) / math.factorial(n)
 
 
 def morris_rhs(n: int, a: int, b: int, twoc: int) -> Fraction:

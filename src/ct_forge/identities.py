@@ -34,10 +34,8 @@ from typing import Callable, Dict, Optional, Tuple
 from .ctengine import CTOrder, FactoredRational, ct_iterated
 from .errors import DomainError, ParseError
 from .exactarith import (
-    GammaValue,
-    HalfInt,
     catalan_product,
-    gamma_half,
+    gamma_quotient,
     mm_rhs,
     morris_rhs,
     thm_rhs,
@@ -199,22 +197,16 @@ def check_cat_identity(n: int) -> bool:
     """
     if n < 1:
         raise DomainError("n must be positive")
-    acc = GammaValue(Fraction(1), 0)
-    for j in range(n):
-        acc = acc * gamma_half(HalfInt(n + 3 + j)) * gamma_half(HalfInt(1))
-        acc = acc / gamma_half(HalfInt(4 + j))
-        acc = acc / gamma_half(HalfInt(1 + j))
-        acc = acc / gamma_half(HalfInt(2 + j))
-    return acc.to_fraction() / factorial(n) == catalan_product(n)
+    num = [t for j in range(n) for t in (n + 3 + j, 1)]
+    den = [t for j in range(n) for t in (4 + j, 1 + j, 2 + j)]
+    return gamma_quotient(num, den) / factorial(n) == catalan_product(n)
 
 
 def check_ratio_identity(n: int) -> bool:
     """G(n+1) G(1/2) / (G((n+2)/2) G((n+1)/2)) == 2^n, exactly."""
     if n < 1:
         raise DomainError("n must be positive")
-    q = gamma_half(HalfInt(2 * n + 2)) * gamma_half(HalfInt(1))
-    q = q / gamma_half(HalfInt(n + 2)) / gamma_half(HalfInt(n + 1))
-    return q.to_fraction() == Fraction(2) ** n
+    return gamma_quotient([2 * n + 2, 1], [n + 2, n + 1]) == Fraction(2) ** n
 
 
 # -- JSON interchange ------------------------------------------------------
@@ -232,6 +224,8 @@ def spec_to_json(spec: IdentitySpec) -> dict:
 def spec_from_json(obj: dict) -> IdentitySpec:
     if not isinstance(obj, dict) or "family" not in obj or "n" not in obj:
         raise ParseError("identity spec needs at least 'family' and 'n'")
+    if extra := sorted(set(obj) - {"family", "n", "a", "b", "twoc"}):
+        raise ParseError(f"unknown keys in identity spec: {', '.join(extra)}")
     try:
         return IdentitySpec.create(
             obj["family"],

@@ -18,7 +18,7 @@ next field, and an exponent that reaches it raises ExponentOverflowError.
 At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
 with positive exponents, the constant monomial being the empty tuple:
 Poly(mapping) accepts that form and terms() yields it, with exact rational
-coefficients.
+coefficients.  coeffs_in(v) is the one split by powers of a variable.
 
 Coefficient arithmetic is always exact; the single floating-point path is
 `contour._poly_on_grid`, used only by the numeric cross-check.
@@ -177,9 +177,6 @@ class Poly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return self._content == other._content and self._terms == other._terms
@@ -287,13 +284,6 @@ class Poly:
             k = (m >> shift) & _MASK
             parts.setdefault(k, {})[m - (k << shift)] = c
         return {k: Poly._raw(*_primitive(t, self._content)) for k, t in parts.items()}
-
-    def coeff_of(self, v: int, k: int) -> "Poly":
-        """Coefficient of v**k, as a polynomial in the other variables."""
-        shift = _BITS * v
-        part = {m - (k << shift): c for m, c in self._terms.items()
-                if (m >> shift) & _MASK == k}
-        return Poly._raw(*_primitive(part, self._content))
 
     def content_and_primitive(self) -> Tuple[Rational, "Poly"]:
         """Split into a positive rational content and a primitive part with

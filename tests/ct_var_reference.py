@@ -21,7 +21,8 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
         if base.degree_in(v) == 0:
             out_den.append((base, exp))
             continue
-        h0, h1 = base.coeff_of(v, 0), base.coeff_of(v, 1)
+        parts = base.coeffs_in(v)
+        h0, h1 = parts.get(0, Poly.zero()), parts[1]
         if h0.is_zero():  # a pure monomial c*v shifts the wanted power
             M += exp
             scale /= h1.constant_coeff() ** exp

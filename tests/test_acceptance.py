@@ -17,16 +17,17 @@ from ct_forge.contour import (
     QuadratureConfig,
     chain_spread,
     chain_values,
-    contour_ct,
     contour_ct_converged,
     default_epsilon,
+    _origin_radii,
+    _sample,
 )
 from ct_forge.ctengine import (
     ct_var,
     ct_iterated,
     FactoredRational,
 )
-from ct_forge.exactarith import HalfInt, gamma_half, mm_rhs, thm_rhs
+from ct_forge.exactarith import gamma_half, mm_rhs, thm_rhs
 from ct_forge.identities import (
     IdentitySpec,
     build_integrand,
@@ -231,10 +232,16 @@ def _prop_ct_linearity(rng):
 def _prop_coeff_reconstruction(rng):
     p = _random_poly(rng)
     v = rng.randint(0, 2)
+    parts = p.coeffs_in(v)
     total = Poly.zero()
     for k in range(p.degree_in(v) + 1):
-        total = total + p.coeff_of(v, k) * Poly.var(v) ** k
+        total = total + parts.get(k, Poly.zero()) * Poly.var(v) ** k
     assert total == p
+
+
+def _origin_ct(spec, epsilon, points):
+    """The mean of the spec's integrand over the origin torus |x_j| = j*epsilon."""
+    return _sample(build_integrand(spec), _origin_radii(spec.n, epsilon), points)
 
 
 def _prop_epsilon_independence(rng):
@@ -248,15 +255,15 @@ def _prop_epsilon_independence(rng):
         kwargs = {"a": rng.randint(1, 3), "twoc": rng.randint(1, 2)}
     spec = IdentitySpec.create(family, n, **kwargs)
     eps = rng.uniform(0.072, 0.09) / n  # upper radius window; see criterion 7
-    v1 = contour_ct(spec, QuadratureConfig(eps, 128))
-    v2 = contour_ct(spec, QuadratureConfig(eps / 2, 128))
+    v1 = _origin_ct(spec, eps, 128)
+    v2 = _origin_ct(spec, eps / 2, 128)
     assert abs(v1 - v2) <= 1e-6 * max(1.0, abs(v2))
 
 
 def _prop_gamma_recurrence(rng):
     twice = rng.choice([t for t in range(-25, 26) if t % 2 != 0 or t > 0])
-    g = gamma_half(HalfInt(twice))
-    g1 = gamma_half(HalfInt(twice + 2))
+    g = gamma_half(twice)
+    g1 = gamma_half(twice + 2)
     assert g1.pi_half_exp == g.pi_half_exp
     assert g1.rational_part == Fraction(twice, 2) * g.rational_part
 
@@ -265,11 +272,11 @@ def _prop_pi_exponent(rng):
     odd = [t for t in range(-15, 26) if t % 2 != 0]
     nums = [rng.choice(odd) for _ in range(rng.randint(0, 6))]
     dens = [rng.choice(odd) for _ in range(rng.randint(0, 6))]
-    acc = gamma_half(HalfInt(2))  # Gamma(1) = 1, pi exponent 0
+    acc = gamma_half(2)  # Gamma(1) = 1, pi exponent 0
     for t in nums:
-        acc = acc * gamma_half(HalfInt(t))
+        acc = acc * gamma_half(t)
     for t in dens:
-        acc = acc / gamma_half(HalfInt(t))
+        acc = acc / gamma_half(t)
     assert acc.pi_half_exp == len(nums) - len(dens)
 
 
@@ -277,7 +284,7 @@ def test_criterion_9_property_suites(capsys):
     groups = [
         ("ring axioms", _prop_ring_axioms),
         ("CT linearity", _prop_ct_linearity),
-        ("coeff_of reconstruction", _prop_coeff_reconstruction),
+        ("coefficient reconstruction", _prop_coeff_reconstruction),
         ("epsilon independence", _prop_epsilon_independence),
         ("Gamma recurrence", _prop_gamma_recurrence),
         ("pi-exponent bookkeeping", _prop_pi_exponent),

@@ -17,9 +17,9 @@ from ct_forge.contour import (
     QuadratureConfig,
     chain_spread,
     chain_values,
-    contour_ct,
     contour_ct_converged,
     _chosen_radii,
+    _origin_radii,
     _sample,
     converged,
     default_epsilon,
@@ -34,6 +34,11 @@ from ct_forge.polyring import Poly, parse_poly
 def rel_err(value: complex, exact) -> float:
     exact = float(exact)
     return abs(value - exact) / max(1.0, abs(exact))
+
+
+def origin_ct(spec: IdentitySpec, epsilon: float, points: int) -> complex:
+    """The mean of the spec's integrand over the origin torus |x_j| = j*epsilon."""
+    return _sample(build_integrand(spec), _origin_radii(spec.n, epsilon), points)
 
 
 class TestQuadratureConfig:
@@ -71,27 +76,30 @@ class TestConverged:
 
 class TestContourCt:
     def test_cry_n1(self):
-        value = contour_ct(IdentitySpec.create("cry", 1),
-                           QuadratureConfig(0.05, 256))
+        value = origin_ct(IdentitySpec.create("cry", 1), 0.05, 256)
         assert abs(value - 1.0) < 1e-10
 
     def test_mm_n2(self):
-        value = contour_ct(IdentitySpec.create("mm", 2),
-                           QuadratureConfig(0.02, 1024))
+        value = origin_ct(IdentitySpec.create("mm", 2), 0.02, 1024)
         assert rel_err(value, 32) < 1e-6
 
     def test_morris_n2(self):
-        value = contour_ct(IdentitySpec.create("morris", 2),
-                           QuadratureConfig(0.02, 1024))
+        value = origin_ct(IdentitySpec.create("morris", 2), 0.02, 1024)
         assert rel_err(value, 2) < 1e-6
 
     def test_radius_guard(self):
-        with pytest.raises(ConfigError):
-            contour_ct(IdentitySpec.create("cry", 2), QuadratureConfig(0.05, 64))
+        with pytest.raises(ConfigError, match="n\\*epsilon = 0.1020"):
+            contour_ct_converged(IdentitySpec.create("morris", 3), epsilon=0.034)
 
-    def test_variable_cap(self):
-        with pytest.raises(ConfigError):
-            contour_ct(IdentitySpec.create("cry", 5), QuadratureConfig(0.01, 64))
+    def test_variable_cap(self, monkeypatch):
+        """n > 4 is refused before the integrand, whose size grows as n**2,
+        is built."""
+        def unreachable(spec):
+            raise AssertionError("build_integrand called")
+
+        monkeypatch.setattr(contour, "build_integrand", unreachable)
+        with pytest.raises(ConfigError, match="n <= 4"):
+            contour_ct_converged(IdentitySpec.create("mm", 5))
 
     def test_converging_wrapper(self):
         value, points, ok = contour_ct_converged(IdentitySpec.create("mm", 2))
@@ -231,7 +239,7 @@ class TestContraction:
     def test_sample_budget(self):
         """n=4 at N=2048 is refused before any array is built."""
         with pytest.raises(ConfigError, match="n=4 at N=2048"):
-            contour_ct(IdentitySpec.create("mm", 4), QuadratureConfig(0.01, 2048))
+            origin_ct(IdentitySpec.create("mm", 4), 0.01, 2048)
 
     @pytest.mark.parametrize("family,kwargs", [
         ("mm", {}), ("thm", {"a": 2, "twoc": 2}), ("cry", {}),
@@ -290,8 +298,8 @@ class TestEpsilonIndependence:
             cfg_pool.append((IdentitySpec.create(family, n, **kwargs),
                              rng.uniform(0.072, 0.09) / n))
         for spec, eps in cfg_pool:
-            v1 = contour_ct(spec, QuadratureConfig(eps, 128))
-            v2 = contour_ct(spec, QuadratureConfig(eps / 2, 128))
+            v1 = origin_ct(spec, eps, 128)
+            v2 = origin_ct(spec, eps / 2, 128)
             assert abs(v1 - v2) <= 1e-6 * max(1.0, abs(v2)), (spec, eps)
             # the true value is real; the imaginary part is pure noise
             assert abs(v1.imag) <= 1e-9 * max(1.0, abs(v1.real)), (spec, eps)

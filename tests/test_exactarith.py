@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from ct_forge.errors import DomainError, NonRationalError, PoleError
 from ct_forge.exactarith import (
     GammaValue,
-    HalfInt,
-    _gamma_quotient,
     catalan,
     gamma_half,
+    gamma_quotient,
     mm_rhs,
     morris_rhs,
     thm_rhs,
@@ -22,35 +21,23 @@ from ct_forge.exactarith import (
 
 class TestGammaQuotient:
     def test_plain_quotient(self):
-        assert _gamma_quotient([6], [2, 2]) == 2  # Gamma(3)/Gamma(1)^2
+        assert gamma_quotient([6], [2, 2]) == 2  # Gamma(3)/Gamma(1)^2
 
     def test_denominator_pole_collapses(self):
-        assert _gamma_quotient([2], [0]) is None
+        assert gamma_quotient([2], [0]) == 0
 
     def test_denominator_pole_wins_over_numerator_pole(self):
         # the reciprocal-Gamma = 0 convention keeps the evaluators total
         # at a = 0, where numerator and denominator poles coincide
-        assert _gamma_quotient([0], [-2]) is None
+        assert gamma_quotient([0], [-2]) == 0
 
     def test_numerator_pole_alone_is_an_error(self):
         with pytest.raises(PoleError):
-            _gamma_quotient([0], [2])
+            gamma_quotient([0], [2])
 
     def test_uncancelled_sqrt_pi(self):
         with pytest.raises(NonRationalError):
-            _gamma_quotient([1], [2])
-
-
-class TestHalfInt:
-    def test_classification(self):
-        assert HalfInt(0).is_nonpositive_integer
-        assert HalfInt(-2).is_nonpositive_integer
-        assert not HalfInt(-1).is_nonpositive_integer  # -1/2 is not an integer
-        assert not HalfInt(2).is_nonpositive_integer
-
-    def test_as_fraction(self):
-        assert HalfInt(7).as_fraction() == Fraction(7, 2)
-        assert str(HalfInt(-1)) == "-1/2"
+            gamma_quotient([1], [2])
 
 
 class TestGammaHalf:
@@ -65,24 +52,24 @@ class TestGammaHalf:
         (10, Fraction(24), 0),          # Gamma(5) = 24
     ])
     def test_known_values(self, twice, rat, pi_exp):
-        g = gamma_half(HalfInt(twice))
+        g = gamma_half(twice)
         assert g == GammaValue(rat, pi_exp)
 
     @pytest.mark.parametrize("twice", [0, -2, -4])
     def test_poles(self, twice):
         with pytest.raises(PoleError):
-            gamma_half(HalfInt(twice))
+            gamma_half(twice)
 
     def test_to_fraction_requires_no_pi(self):
         with pytest.raises(NonRationalError):
-            gamma_half(HalfInt(1)).to_fraction()
-        assert gamma_half(HalfInt(6)).to_fraction() == 2
+            gamma_half(1).to_fraction()
+        assert gamma_half(6).to_fraction() == 2
 
     def test_product_and_quotient(self):
         # Gamma(1/2)^2 = pi, carried as sqrt(pi)^2
-        sq = gamma_half(HalfInt(1)) * gamma_half(HalfInt(1))
+        sq = gamma_half(1) * gamma_half(1)
         assert sq == GammaValue(Fraction(1), 2)
-        q = gamma_half(HalfInt(3)) / gamma_half(HalfInt(1))
+        q = gamma_half(3) / gamma_half(1)
         assert q.to_fraction() == Fraction(1, 2)
 
     # q must avoid the poles at nonpositive integers: odd twice-values are
@@ -92,8 +79,8 @@ class TestGammaHalf:
     @settings(max_examples=100)
     def test_recurrence(self, twice):
         """Gamma(q+1) = q * Gamma(q)."""
-        g = gamma_half(HalfInt(twice))
-        g1 = gamma_half(HalfInt(twice + 2))
+        g = gamma_half(twice)
+        g1 = gamma_half(twice + 2)
         assert g1.pi_half_exp == g.pi_half_exp
         assert g1.rational_part == Fraction(twice, 2) * g.rational_part
 
@@ -108,9 +95,9 @@ class TestGammaHalf:
         succeeds exactly when it cancels."""
         acc = GammaValue(Fraction(1), 0)
         for t in nums:
-            acc = acc * gamma_half(HalfInt(t))
+            acc = acc * gamma_half(t)
         for t in dens:
-            acc = acc / gamma_half(HalfInt(t))
+            acc = acc / gamma_half(t)
         assert acc.pi_half_exp == len(nums) - len(dens)
         if len(nums) == len(dens):
             assert isinstance(acc.to_fraction(), Fraction)
@@ -223,7 +210,7 @@ def _morris_at_half_b(n, a, twoc):
         return Fraction(0)
     acc = GammaValue(Fraction(1), 0)
     for t in num:
-        acc = acc * gamma_half(HalfInt(t))
+        acc = acc * gamma_half(t)
     for t in den:
-        acc = acc / gamma_half(HalfInt(t))
+        acc = acc / gamma_half(t)
     return acc.to_fraction() / factorial(n)

@@ -257,6 +257,9 @@ class TestSpecJson:
             spec_from_json({"family": "cry", "n": 2, "a": 5})
         with pytest.raises(DomainError):
             spec_from_json({"family": "mm", "n": "two"})
+        # "c" is not "twoc": read as given, it would answer a different question
+        with pytest.raises(ParseError, match="unknown keys in identity spec: c, order$"):
+            spec_from_json({"family": "morris", "n": 2, "a": 2, "b": 1, "c": 2, "order": "2,1"})
 
     def test_rationals_render_plain(self):
         report = verify(IdentitySpec.create("morris", 1, a=2, b=1))

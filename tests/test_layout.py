@@ -2,8 +2,9 @@
 
 Every top-level import must be relative (the package itself), a
 standard-library module, or numpy; imports inside functions are not
-checked.  Every public top-level function and class must be used by the
-package itself, not only by tests.
+checked.  Every public top-level function and class, and every public
+method of a public class, must be used by the package itself, not only by
+tests; a method counts as used when the package reads its name.
 """
 
 import ast
@@ -14,10 +15,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ct_forge"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
-# Public names the package need not call itself.
-UNCALLED_OK = {
-    "contour_ct",  # criterion 9 samples the origin torus through it; goes with ROADMAP item 4
-}
+MODULES = [ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+PUBLIC_CLASSES = [node for tree in MODULES for node in tree.body
+                  if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+PUBLIC_METHODS = [f"{cls.name}.{node.name}" for cls in PUBLIC_CLASSES for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+# Every name the package loads, or reads as an attribute.
+USED = {node.id if isinstance(node, ast.Name) else node.attr
+        for tree in MODULES for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))}
 
 
 def _top_level_imports(path: Path):
@@ -39,20 +46,17 @@ def test_imports_are_stdlib_numpy_or_relative(path):
 
 
 def test_every_public_name_is_used_in_the_package():
-    modules = [ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
-    defined = {node.name for tree in modules for node in tree.body
+    defined = {node.name for tree in MODULES for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_")}
-    used = set()
-    for tree in modules:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert sorted(defined - used - UNCALLED_OK) == []
+    assert sorted(defined - USED) == []
+
+
+@pytest.mark.parametrize("method", PUBLIC_METHODS)
+def test_every_public_method_is_used_in_the_package(method):
+    assert method.split(".")[1] in USED
 
 
 def test_sources_found():
     assert (SRC / "__init__.py").is_file()
+    assert PUBLIC_METHODS
