@@ -8,7 +8,8 @@ so the estimate is the plain mean of f over a uniform product grid of
 angles.  The rule is spectrally accurate here: the integrand is analytic
 in an annulus around every circle, so the error decays geometrically in
 the per-circle sample count N, and halving is checked by comparing N
-against 2N rather than by any error expansion.
+against 2N rather than by any error expansion.  The N grid is the even
+points of the 2N grid, so each doubling step evaluates the factors once.
 
 _sample never forms the whole N**n grid: each factor is evaluated on the
 axes of its own variables, the factors on one axis set are multiplied in
@@ -114,15 +115,19 @@ def _origin_radii(n: int, epsilon: float) -> List[float]:
 
 
 def _sample(f: FactoredRational, radii: Sequence[float], points: int,
-            roots: Sequence[Poly] = ()) -> complex:
+            roots: Sequence[Poly] = (), coarse: bool = False):
     """Mean over the product grid of f times the reciprocal principal
     square root of each base in roots, which must stay in the right
-    half-plane; the package's one float evaluator (see the module notes)."""
+    half-plane; the package's one float evaluator (see the module notes).
+    With coarse, returns (mean over the even points, mean over all); the
+    even points are the grid of points // 2, whose budget is checked first."""
     import numpy as np
     n = len(radii)
-    if points ** n > _SAMPLE_BUDGET:
-        raise ConfigError(f"n={n} at N={points} needs points**n = {points ** n} "
-                          f"samples, over the budget of {_SAMPLE_BUDGET}")
+    grids = (points // 2, points) if coarse else (points,)
+    for grid in grids:
+        if grid ** n > _SAMPLE_BUDGET:
+            raise ConfigError(f"n={n} at N={grid} needs points**n = {grid ** n} "
+                              f"samples, over the budget of {_SAMPLE_BUDGET}")
     unit = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
     xs = [(r * unit).reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
           for j, r in enumerate(radii)]
@@ -152,14 +157,18 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
         hosts = [b for b in groups if set(axes) < set(b)]
         if hosts:
             groups[hosts[0]] *= groups.pop(axes)
-    if len(groups) == 1:
-        total = np.sum(*groups.values())
-    else:
+    means = []
+    for grid in grids:
+        step = (slice(None, None, points // grid),)
         operands = []
         for axes, vals in groups.items():
-            operands += [vals.reshape((points,) * len(axes)), list(axes)]
-        total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
-    return complex(total) / points ** len(set().union(*groups))
+            operands += [vals.reshape((points,) * len(axes))[step * len(axes)], list(axes)]
+        if len(groups) == 1:
+            total = np.sum(operands[0])
+        else:
+            total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
+        means.append(complex(total) / grid ** len(set().union(*groups)))
+    return tuple(means) if coarse else means[0]
 
 
 # -- the torus of the converged oracle --------------------------------------
@@ -237,7 +246,8 @@ def contour_ct_converged(
         start_points: Optional[int] = None,
         max_points: int = 2048) -> Tuple[complex, int, bool]:
     """Double the sample count until two successive estimates agree to tol;
-    returns (estimate, points, converged).
+    returns (estimate, points, converged).  Each step evaluates the factors
+    once, at 2N; the first takes its N estimate from the even points.
 
     epsilon states the origin torus |x_j| = j*epsilon (default 0.05/n),
     refused before the integrand is built unless n <= 4 and
@@ -266,14 +276,14 @@ def contour_ct_converged(
     origin = _origin_radii(spec.n, epsilon)
     f = build_integrand(spec)
     radii = _chosen_radii(f, origin)
-    value = _sample(f, radii, points)
-    while points < max_points:
+    points *= 2
+    value, nxt = _sample(f, radii, points, coarse=True)
+    while not converged(value, nxt, tol):
+        if points == max_points:
+            return nxt, points, False
         points *= 2
-        nxt = _sample(f, radii, points)
-        if converged(value, nxt, tol):
-            return nxt, points, True
-        value = nxt
-    return value, points, False
+        value, nxt = nxt, _sample(f, radii, points)
+    return nxt, points, True
 
 
 # -- the substitution chain -------------------------------------------------

@@ -226,14 +226,11 @@ def spec_from_json(obj: dict) -> IdentitySpec:
         raise ParseError("identity spec needs at least 'family' and 'n'")
     if extra := sorted(set(obj) - {"family", "n", "a", "b", "twoc"}):
         raise ParseError(f"unknown keys in identity spec: {', '.join(extra)}")
+    params = {key: obj[key] for key in ("a", "b", "twoc") if key in obj}
+    if nulls := [key for key, value in params.items() if value is None]:
+        raise ParseError(f"null value for {', '.join(nulls)} in identity spec")
     try:
-        return IdentitySpec.create(
-            obj["family"],
-            obj["n"],
-            a=obj.get("a"),
-            b=obj.get("b"),
-            twoc=obj.get("twoc"),
-        )
+        return IdentitySpec.create(obj["family"], obj["n"], **params)
     except DomainError:
         raise
     except (TypeError, ValueError) as exc:

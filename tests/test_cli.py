@@ -165,6 +165,13 @@ class TestGrid:
         code, out, err = run(capsys, ["verify", "--grid", str(grid_file)])
         assert code == 2 and out == "" and "unknown keys in identity spec: c" in err
 
+    def test_null_parameter(self, capsys, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps([{"family": "morris", "n": 2, "a": 2, "b": 1,
+                                          "twoc": None}]))
+        code, out, err = run(capsys, ["verify", "--grid", str(grid_file)])
+        assert code == 2 and out == "" and "null value for twoc in identity spec" in err
+
     def test_grid_file_not_json(self, capsys, tmp_path):
         grid_file = tmp_path / "grid.json"
         grid_file.write_text("{")

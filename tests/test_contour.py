@@ -135,11 +135,13 @@ class TestConvergedStart:
 
     @pytest.fixture
     def sampled(self, monkeypatch):
+        """The N of every mean _sample returns, in order: a coarse call at
+        2N returns the means at N and 2N."""
         counts = []
 
-        def recording(f, radii, points, roots=()):
-            counts.append(points)
-            return _sample(f, radii, points, roots)
+        def recording(f, radii, points, roots=(), coarse=False):
+            counts.extend([points // 2, points] if coarse else [points])
+            return _sample(f, radii, points, roots, coarse)
 
         monkeypatch.setattr(contour, "_sample", recording)
         return counts
@@ -171,6 +173,24 @@ class TestConvergedStart:
                                                start_points=64)
         assert ok and used == 128 and sampled == [64, 128]
         assert rel_err(value, 5120) < 1e-6
+
+
+class TestNestedGrid:
+    """The N grid is the even points of the 2N grid, so the coarse mean of
+    one evaluation at 2N is the N sample itself, bit for bit."""
+
+    @pytest.mark.parametrize("points", [32, 64])
+    @pytest.mark.parametrize("spec", [
+        IdentitySpec.create("cry", 1),
+        IdentitySpec.create("mm", 2),
+        IdentitySpec.create("morris", 3, a=1, b=2, twoc=2),
+        IdentitySpec.create("thm", 3, a=3, twoc=2)])  # converges at N=128
+    def test_coarse_mean_is_the_half_grid_sample(self, spec, points):
+        f = build_integrand(spec)
+        radii = _chosen_radii(f, _origin_radii(spec.n, 0.0999 / spec.n))
+        coarse, fine = _sample(f, radii, 2 * points, coarse=True)
+        assert coarse == _sample(f, radii, points)
+        assert fine == _sample(f, radii, 2 * points)
 
 
 class TestContraction:

@@ -260,6 +260,9 @@ class TestSpecJson:
         # "c" is not "twoc": read as given, it would answer a different question
         with pytest.raises(ParseError, match="unknown keys in identity spec: c, order$"):
             spec_from_json({"family": "morris", "n": 2, "a": 2, "b": 1, "c": 2, "order": "2,1"})
+        # null is not "not given": the default would answer in its place
+        with pytest.raises(ParseError, match="null value for b, twoc in identity spec$"):
+            spec_from_json({"family": "morris", "n": 2, "a": 2, "b": None, "twoc": None})
 
     def test_rationals_render_plain(self):
         report = verify(IdentitySpec.create("morris", 1, a=2, b=1))
