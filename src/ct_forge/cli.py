@@ -19,16 +19,17 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .contour import (
     QuadratureConfig,
+    _chain_origin,
     chain_spread,
     chain_values,
     contour_ct_converged,
     default_epsilon,
 )
-from .ctengine import CTOrder, ct_iterated, factored_loads
+from .ctengine import ct_iterated, factored_loads
 from .errors import CTForgeError
 from .exactarith import thm_rhs
 from .identities import (
@@ -51,16 +52,19 @@ def _max_n() -> int:
         raise CTForgeError(f"CT_FORGE_MAX_N must be an integer, got {raw!r}") from None
 
 
-def _parse_order(text: Optional[str]) -> Optional[CTOrder]:
-    """Comma list of 1-based variable numbers, e.g. '2,1'."""
+def _parse_order(text: Optional[str]) -> Optional[Tuple[int, ...]]:
+    """Comma list of 1-based variable numbers, e.g. '2,1', as 0-based indices."""
     if text is None:
         return None
     try:
-        seq = tuple(int(part) - 1 for part in text.split(","))
-        order = CTOrder(seq)
+        order = tuple(int(part) - 1 for part in text.split(","))
+        if len(set(order)) != len(order):
+            raise ValueError("extraction order repeats a variable")
+        if min(order) < 0:
+            raise ValueError("variable indices are nonnegative")
     except ValueError as exc:
         raise CTForgeError(f"bad --order {text!r}: {exc}") from None
-    if not order.is_default():
+    if order != tuple(range(len(order))):
         print("warning: non-default extraction order corresponds to a different "
               "contour nesting; results are exploratory", file=sys.stderr)
     return order
@@ -146,15 +150,21 @@ def _cmd_oracle(args) -> int:
 def _cmd_chain(args) -> int:
     epsilon = args.epsilon if args.epsilon is not None else default_epsilon(args.n, shifted=True)
     cfg = QuadratureConfig(epsilon, args.points)
-    values = chain_values(args.n, args.a, args.twoc, cfg)
+    _chain_origin(args.n, args.a, args.twoc, epsilon)  # refuse what chain_values would, first
     exact = thm_rhs(args.n, args.a, args.twoc)
-    scale = max(1.0, abs(float(exact)))
+    try:  # before sampling, which would overflow first and only warn
+        exact_float = float(exact)
+    except OverflowError:
+        raise CTForgeError(f"the closed form for n={args.n} a={args.a} twoc={args.twoc} "
+                           "exceeds the float64 range") from None
+    values = chain_values(args.n, args.a, args.twoc, cfg)
+    scale = max(1.0, abs(exact_float))
     spread = chain_spread(values)
-    worst_vs_exact = max(abs(v - float(exact)) / scale for v in values.values())
+    worst_vs_exact = max(abs(v - exact_float) / scale for v in values.values())
     ok = spread < CHAIN_TOL and worst_vs_exact < CHAIN_TOL
     if args.format == "json":
         print(json.dumps({
-            "forms": {f.value: {"re": v.real, "im": v.imag} for f, v in values.items()},
+            "forms": {f: {"re": v.real, "im": v.imag} for f, v in values.items()},
             "spread": spread,
             "vs_exact": worst_vs_exact,
             "exact": str(exact),
@@ -164,7 +174,7 @@ def _cmd_chain(args) -> int:
         }))
     else:
         for form, v in values.items():
-            print(f"  {form.value}: re={v.real!r} im={v.imag!r}")
+            print(f"  {form}: re={v.real!r} im={v.imag!r}")
         print(f"pairwise spread={spread:.3e} vs exact {exact}: {worst_vs_exact:.3e} "
               f"N={cfg.points} epsilon={epsilon} -> "
               f"{'within tolerance' if ok else 'OUT OF TOLERANCE'}")

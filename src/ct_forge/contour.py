@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .ctengine import FactoredRational
@@ -75,13 +74,6 @@ def default_epsilon(n: int, shifted: bool = False) -> float:
     if n < 1:
         raise ConfigError(f"n must be at least 1, got n={n}")
     return (0.0125 if shifted else 0.05) / n
-
-
-class ChainForm(Enum):
-    X_FORM = "x"
-    Z_FORM = "z"
-    Y_FORM = "y"
-    T_FORM = "t"
 
 
 def converged(v1: complex, v2: complex, tol: float) -> bool:
@@ -288,7 +280,7 @@ def contour_ct_converged(
 
 # -- the substitution chain -------------------------------------------------
 
-def _chain_forms(n: int, a: int, twoc: int) -> Dict[ChainForm, tuple]:
+def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, tuple]:
     """Each chain form in u = w - centre: a FactoredRational and its
     square-root bases, with the measure u_j and the prefactor folded in.
 
@@ -307,39 +299,44 @@ def _chain_forms(n: int, a: int, twoc: int) -> Dict[ChainForm, tuple]:
         return FactoredRational.create(Poly.constant(scale), monomials + den), roots
 
     return {
-        ChainForm.X_FORM: (build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc)), []),
-        ChainForm.Z_FORM: form(sign * 2 ** (e - n),
-                               [(2 + u, a) for u in us]
-                               + [(uj - uk, twoc) for uj, uk in pairs]
-                               + [(2 + uj + uk, twoc) for uj, uk in pairs], []),
-        ChainForm.Y_FORM: form(sign * 2 ** (e - 2 * n),
-                               [(uj - uk, twoc) for uj, uk in pairs], [1 + u for u in us]),
-        ChainForm.T_FORM: form(2 ** (e - 2 * n),
-                               [(uk - uj, twoc) for uj, uk in pairs], [1 - u for u in us]),
+        "x": (build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc)), []),
+        "z": form(sign * 2 ** (e - n),
+                  [(2 + u, a) for u in us]
+                  + [(uj - uk, twoc) for uj, uk in pairs]
+                  + [(2 + uj + uk, twoc) for uj, uk in pairs], []),
+        "y": form(sign * 2 ** (e - 2 * n),
+                  [(uj - uk, twoc) for uj, uk in pairs], [1 + u for u in us]),
+        "t": form(2 ** (e - 2 * n),
+                  [(uk - uj, twoc) for uj, uk in pairs], [1 - u for u in us]),
     }
 
 
+def _chain_origin(n: int, a: int, twoc: int, epsilon: float) -> List[float]:
+    """The chain's origin radii, after refusing what chain_values does not support."""
+    if not 1 <= n <= 3:
+        raise ConfigError(f"the chain check supports 1 <= n <= 3, got n={n}")
+    if a < 1 or twoc < 1:
+        raise ConfigError("chain parameters need a >= 1 and twoc >= 1")
+    return _origin_radii(n, epsilon)
+
+
 def chain_values(n: int, a: int, twoc: int,
-                 cfg: QuadratureConfig) -> Dict[ChainForm, complex]:
-    """Quadrature estimates of all four substitution-chain forms of the thm
-    constant term; in exact arithmetic all four would be equal.
+                 cfg: QuadratureConfig) -> Dict[str, complex]:
+    """Quadrature estimates of the four substitution-chain forms of the thm
+    constant term, keyed "x", "z", "y", "t"; in exact arithmetic all equal.
 
     cfg.epsilon states each form's origin torus |u_j| = j*epsilon, refused
     outside n*epsilon < 0.1 and required to meet the expansion rule, as in
     contour_ct_converged; each form is sampled at cfg.points per circle on
     the torus _chosen_radii reads off its factors and square-root bases."""
-    if not 1 <= n <= 3:
-        raise ConfigError(f"the chain check supports 1 <= n <= 3, got n={n}")
-    if a < 1 or twoc < 1:
-        raise ConfigError("chain parameters need a >= 1 and twoc >= 1")
-    origin = _origin_radii(n, cfg.epsilon)
-    out: Dict[ChainForm, complex] = {}
+    origin = _chain_origin(n, a, twoc, cfg.epsilon)
+    out: Dict[str, complex] = {}
     for form, (f, roots) in _chain_forms(n, a, twoc).items():
         out[form] = _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots)
     return out
 
 
-def chain_spread(values: Dict[ChainForm, complex]) -> float:
+def chain_spread(values: Dict[str, complex]) -> float:
     """Largest pairwise relative difference among the four form values."""
     vs = list(values.values())
     scale = max(1.0, max(abs(v) for v in vs))

@@ -40,24 +40,6 @@ Factor = Tuple[Poly, int]
 
 
 @dataclass(frozen=True)
-class CTOrder:
-    """Extraction order, innermost (smallest contour) first."""
-
-    sequence: Tuple[int, ...]
-
-    def __post_init__(self):
-        seq = tuple(int(v) for v in self.sequence)
-        if len(set(seq)) != len(seq):
-            raise ValueError("extraction order repeats a variable")
-        if any(v < 0 for v in seq):
-            raise ValueError("variable indices are nonnegative")
-        object.__setattr__(self, "sequence", seq)
-
-    def is_default(self) -> bool:
-        return self.sequence == tuple(range(len(self.sequence)))
-
-
-@dataclass(frozen=True)
 class FactoredRational:
     """num / prod(base**exp); exps positive, bases nonconstant primitives."""
 
@@ -184,19 +166,15 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     return FactoredRational.create(target, out_den)
 
 
-def ct_iterated(f: FactoredRational, order: Optional[CTOrder] = None) -> Fraction:
-    """Apply ct_var along the extraction order and return the constant.
-
-    The default order consumes x1 first, then x2, and so on through every
-    variable present in f, matching the convention that lower-index
-    variables ride smaller circles.
+def ct_iterated(f: FactoredRational, order: Optional[Sequence[int]] = None) -> Fraction:
+    """Apply ct_var along order, a sequence of 0-based variable indices,
+    innermost (smallest contour) first, and return the constant.  The
+    default consumes x1, then x2, and so on through every variable of f,
+    matching the convention that lower-index variables ride smaller circles.
     """
-    if order is None:
-        order = CTOrder(tuple(sorted(f.variables())))
-    g = f
-    for v in order.sequence:
-        g = ct_var(g, v)
-    return g.as_constant()
+    for v in sorted(f.variables()) if order is None else order:
+        f = ct_var(f, v)
+    return f.as_constant()
 
 
 # -- JSON interchange ------------------------------------------------------

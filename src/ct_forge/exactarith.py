@@ -2,69 +2,36 @@
 built from them.
 
 Everything here is exact: rationals are `fractions.Fraction`, half integers
-are carried as twice their value, and Gamma values track an explicit integer
-power of sqrt(pi).  No floating point enters this module.
+are carried as twice their value, and a Gamma value is its rational part,
+the sqrt(pi) of an odd argument counted.  No floating point enters here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, NonRationalError, PoleError
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """Exact value ``rational_part * sqrt(pi)**pi_half_exp``.
+def gamma_half(t: int) -> Fraction:
+    """The rational part of Gamma(t/2), via the recurrence from Gamma(1) = 1
+    and Gamma(1/2) = sqrt(pi): Gamma(t/2) is it times sqrt(pi) when t is odd.
 
-    A single Gamma at a half integer has pi_half_exp in {0, 1}; products and
-    quotients accumulate arbitrary integer exponents.
-    """
-
-    rational_part: Fraction
-    pi_half_exp: int
-
-    def __mul__(self, other: "GammaValue") -> "GammaValue":
-        return GammaValue(self.rational_part * other.rational_part,
-                          self.pi_half_exp + other.pi_half_exp)
-
-    def __truediv__(self, other: "GammaValue") -> "GammaValue":
-        return GammaValue(self.rational_part / other.rational_part,
-                          self.pi_half_exp - other.pi_half_exp)
-
-    def to_fraction(self) -> Fraction:
-        """The value as a pure rational; the sqrt(pi) exponent must be zero."""
-        if self.pi_half_exp != 0:
-            raise NonRationalError(
-                f"value carries sqrt(pi)^{self.pi_half_exp}, not rational")
-        return self.rational_part
-
-
-def gamma_half(t: int) -> GammaValue:
-    """Exact Gamma at the half integer t/2, via the recurrence from
-    Gamma(1) = 1 and Gamma(1/2) = sqrt(pi).
-
-    Negative half integers are fine (e.g. Gamma(-1/2) = -2 sqrt(pi));
+    Negative half integers are fine (Gamma(-1/2) = -2 sqrt(pi) gives -2);
     nonpositive integers are poles.
     """
     if t % 2 == 0:
-        n = t // 2
-        if n <= 0:
-            raise PoleError(f"Gamma({n}) is a pole")
-        return GammaValue(Fraction(math.factorial(n - 1)), 0)
+        if t <= 0:
+            raise PoleError(f"Gamma({t // 2}) is a pole")
+        return Fraction(math.factorial(t // 2 - 1))
     rat = Fraction(1)
-    if t > 1:
-        # Gamma(1/2 + m): multiply up through (2s-1)/2, s = 1..m.
-        for s in range(1, (t - 1) // 2 + 1):
-            rat *= Fraction(2 * s - 1, 2)
-    elif t < 1:
-        # Gamma(1/2 - m): divide down through (1-2s)/2, s = 1..m.
-        for s in range(1, (1 - t) // 2 + 1):
-            rat /= Fraction(1 - 2 * s, 2)
-    return GammaValue(rat, 1)
+    for s in range(1, t, 2):  # up from Gamma(1/2): Gamma(s/2 + 1) = (s/2) Gamma(s/2)
+        rat *= Fraction(s, 2)
+    for s in range(t, 1, 2):  # down from Gamma(1/2) when t < 0
+        rat /= Fraction(s, 2)
+    return rat
 
 
 def catalan(k: int) -> Fraction:
@@ -83,26 +50,32 @@ def catalan_product(n: int) -> Fraction:
 
 
 def gamma_quotient(num_twice: Iterable[int], den_twice: Iterable[int]) -> Fraction:
-    """prod Gamma(num)/prod Gamma(den), arguments in twice-units.
+    """prod Gamma(num)/prod Gamma(den), arguments in twice-units: the product
+    of gamma_half's rational parts, times sqrt(pi) to the count of odd
+    numerator arguments less the count of odd denominator arguments.
 
     Returns 0 when any denominator argument is a nonpositive integer: the
     reciprocal of a Gamma pole is zero and collapses the whole product,
     even if a numerator argument is also a pole (that is the convention that
-    keeps the closed-form evaluators total at a = 0).  A numerator pole with
-    a pole-free denominator raises PoleError; a leftover sqrt(pi) power
-    raises NonRationalError.
+    keeps the closed-form evaluators total at a = 0).  Otherwise the first
+    numerator pole raises PoleError, then a nonzero sqrt(pi) power raises
+    NonRationalError.
     """
     den = list(den_twice)
     if any(t <= 0 and t % 2 == 0 for t in den):
         return Fraction(0)
-    acc = GammaValue(Fraction(1), 0)
+    acc, pi_half_exp = Fraction(1), 0
     for t in num_twice:
         if t <= 0 and t % 2 == 0:
             raise PoleError(f"Gamma({t // 2}) pole in a numerator")
-        acc = acc * gamma_half(t)
+        acc *= gamma_half(t)
+        pi_half_exp += t % 2
     for t in den:
-        acc = acc / gamma_half(t)
-    return acc.to_fraction()
+        acc /= gamma_half(t)
+        pi_half_exp -= t % 2
+    if pi_half_exp:
+        raise NonRationalError(f"value carries sqrt(pi)^{pi_half_exp}, not rational")
+    return acc
 
 
 def _morris_form(n: int, twoa: int, twob: int, twoc: int) -> Fraction:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .ctengine import CTOrder, FactoredRational, ct_iterated
+from .ctengine import FactoredRational, ct_iterated
 from .errors import DomainError, ParseError
 from .exactarith import (
     catalan_product,
@@ -176,7 +176,7 @@ class VerificationReport:
         }
 
 
-def verify(spec: IdentitySpec, order: Optional[CTOrder] = None) -> VerificationReport:
+def verify(spec: IdentitySpec, order: Optional[Sequence[int]] = None) -> VerificationReport:
     """Exact check of one identity instance; a mismatch is a report with
     equal=False, not an exception."""
     start = time.perf_counter()

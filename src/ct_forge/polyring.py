@@ -185,6 +185,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equal to its rational value, so hashed as one
+            return hash(self._content * self._terms.get(0, 0))
         return hash((self._content, frozenset(self._terms.items())))
 
     # -- arithmetic ------------------------------------------------------

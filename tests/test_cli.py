@@ -16,6 +16,17 @@ from ct_forge.contour import contour_ct_converged, default_epsilon
 from ct_forge.identities import IdentitySpec
 
 
+# The one message for each malformed --order; a repeat is named before a
+# number below 1 ("0,0" repeats the nonexistent variable x0).
+BAD_ORDER_ERRORS = {
+    "1,1": "error: bad --order '1,1': extraction order repeats a variable\n",
+    "0,0": "error: bad --order '0,0': extraction order repeats a variable\n",
+    "0,1": "error: bad --order '0,1': variable indices are nonnegative\n",
+    "x": "error: bad --order 'x': invalid literal for int() with base 10: 'x'\n",
+    "2;1": "error: bad --order '2;1': invalid literal for int() with base 10: '2;1'\n",
+}
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -87,9 +98,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("order", ["1,1", "0,1", "x", "2;1"])
     def test_bad_order(self, capsys, order):
-        code, _, err = run(capsys, ["verify", "--family", "mm", "--n", "2",
-                                    "--order", order])
-        assert code == 2
+        code, out, err = run(capsys, ["verify", "--family", "mm", "--n", "2",
+                                      "--order", order])
+        assert (code, out, err) == (2, "", BAD_ORDER_ERRORS[order])
 
     def test_max_n_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("CT_FORGE_MAX_N", "2")
@@ -230,6 +241,12 @@ class TestCt:
         code, out, err = run(capsys, ["ct", path, "--order", "2,1"])
         assert code == 0 and out.strip() == "-2" and "warning" in err
 
+    @pytest.mark.parametrize("order", ["1,1", "0,0", "0,1", "x"])
+    def test_bad_order(self, capsys, tmp_path, order):
+        path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", 2], ["1 - x2", 2]]})
+        code, out, err = run(capsys, ["ct", path, "--order", order])
+        assert (code, out, err) == (2, "", BAD_ORDER_ERRORS[order])
+
     def test_fractional_exponent(self, capsys, tmp_path):
         path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", 2.9], ["x1", 1]]})
         code, out, err = run(capsys, ["ct", path])
@@ -342,11 +359,23 @@ class TestChain:
     def test_config_error(self, capsys):
         code, _, err = run(capsys, ["chain", "--n", "4", "--a", "1", "--twoc", "1"])
         assert code == 2
+        # the parameters are refused before the closed form is computed, so
+        # an overflowing one does not hide the reason
+        code, out, err = run(capsys, ["chain", "--n", "4", "--a", "600", "--twoc", "1"])
+        assert (code, out) == (2, "") and "1 <= n <= 3, got n=4" in err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n(self, capsys, n):
         code, out, err = run(capsys, ["chain", "--n", n, "--a", "1", "--twoc", "1"])
         assert code == 2 and out == "" and f"n={n}" in err
+
+    def test_closed_form_past_float64(self, capsys):
+        # binom(1098, 549) is about 2**1094: refused before any sampling, so
+        # no overflow warning is raised (pytest turns one into an error)
+        code, out, err = run(capsys, ["chain", "--n", "1", "--a", "550", "--twoc", "1"])
+        assert (code, out) == (2, "")
+        assert err == ("error: the closed form for n=1 a=550 twoc=1 "
+                       "exceeds the float64 range\n")
 
 
 class TestGammaCheck:

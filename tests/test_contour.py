@@ -13,7 +13,6 @@ import pytest
 
 from ct_forge import contour
 from ct_forge.contour import (
-    ChainForm,
     QuadratureConfig,
     chain_spread,
     chain_values,
@@ -332,7 +331,7 @@ class TestChain:
     @pytest.mark.parametrize("twoc", [1, 2])
     def test_n1_closed_form(self, a, expect, twoc):
         values = chain_values(1, a, twoc, QuadratureConfig(0.0125, 256))
-        assert set(values) == set(ChainForm)
+        assert list(values) == ["x", "z", "y", "t"]
         assert math.comb(2 * a - 2, a - 1) == expect
         for form, v in values.items():
             assert rel_err(v, expect) < 1e-8, form
@@ -371,6 +370,6 @@ class TestChain:
             chain_values(2, 2, 1, QuadratureConfig(0.07, 64))
 
     def test_spread_of_identical_values(self):
-        vals = {form: 5.0 + 0j for form in ChainForm}
+        vals = {form: 5.0 + 0j for form in "xzyt"}
         assert chain_spread(vals) == 0.0
 

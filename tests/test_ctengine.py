@@ -15,7 +15,6 @@ import ct_var_reference
 import oracle_series
 import rationals
 from ct_forge.ctengine import (
-    CTOrder,
     FactoredRational,
     ct_iterated,
     ct_var,
@@ -35,18 +34,6 @@ one = Poly.one()
 
 def rational(num, den=()):
     return FactoredRational.create(num, den)
-
-
-class TestCTOrder:
-    def test_default(self):
-        assert CTOrder((0, 1, 2)).is_default()
-        assert not CTOrder((1, 0)).is_default()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CTOrder((0, 0))
-        with pytest.raises(ValueError):
-            CTOrder((-1, 0))
 
 
 class TestFactoredRational:
@@ -244,17 +231,17 @@ class TestCtIterated:
 
     def test_explicit_order_on_separable_integrand(self):
         f = rational(one, [(x1, 1), (x2, 1), (one - x1, 1), (one - x2, 1)])
-        assert ct_iterated(f, CTOrder((0, 1))) == 1
-        assert ct_iterated(f, CTOrder((1, 0))) == 1
+        assert ct_iterated(f, (0, 1)) == 1
+        assert ct_iterated(f, (1, 0)) == 1
 
     def test_reversed_order_flips_pair_orientation(self):
         f = two_var_integrand(1, 2, 1, 1)
-        assert ct_iterated(f, CTOrder((1, 0))) == -32
+        assert ct_iterated(f, (1, 0)) == -32
 
     def test_order_must_cover_variables(self):
         f = two_var_integrand(0, 2, 1, 0)
         with pytest.raises(ResidualVariableError):
-            ct_iterated(f, CTOrder((0,)))
+            ct_iterated(f, [0])
 
 
 class TestJson:

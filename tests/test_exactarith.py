@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ct_forge.errors import DomainError, NonRationalError, PoleError
 from ct_forge.exactarith import (
-    GammaValue,
     catalan,
     gamma_half,
     gamma_quotient,
@@ -32,12 +31,20 @@ class TestGammaQuotient:
         assert gamma_quotient([0], [-2]) == 0
 
     def test_numerator_pole_alone_is_an_error(self):
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError, match=r"^Gamma\(0\) pole in a numerator$"):
             gamma_quotient([0], [2])
+        # the first numerator pole in argument order names the error, and a
+        # numerator pole wins over an uncancelled sqrt(pi)
+        with pytest.raises(PoleError, match=r"^Gamma\(-1\) pole in a numerator$"):
+            gamma_quotient([1, -2, 0], [2])
 
     def test_uncancelled_sqrt_pi(self):
-        with pytest.raises(NonRationalError):
+        with pytest.raises(NonRationalError,
+                           match=r"^value carries sqrt\(pi\)\^1, not rational$"):
             gamma_quotient([1], [2])
+        with pytest.raises(NonRationalError,
+                           match=r"^value carries sqrt\(pi\)\^-2, not rational$"):
+            gamma_quotient([2], [1, 3])
 
 
 class TestGammaHalf:
@@ -52,25 +59,29 @@ class TestGammaHalf:
         (10, Fraction(24), 0),          # Gamma(5) = 24
     ])
     def test_known_values(self, twice, rat, pi_exp):
-        g = gamma_half(twice)
-        assert g == GammaValue(rat, pi_exp)
+        # gamma_half returns the rational part; the value carries sqrt(pi)
+        # exactly when the argument is odd
+        assert gamma_half(twice) == rat
+        assert type(gamma_half(twice)) is Fraction
+        assert twice % 2 == pi_exp
 
     @pytest.mark.parametrize("twice", [0, -2, -4])
     def test_poles(self, twice):
         with pytest.raises(PoleError):
             gamma_half(twice)
 
-    def test_to_fraction_requires_no_pi(self):
-        with pytest.raises(NonRationalError):
-            gamma_half(1).to_fraction()
-        assert gamma_half(6).to_fraction() == 2
+    def test_odd_argument_is_not_rational(self):
+        # a lone Gamma at a half-odd integer carries one sqrt(pi)
+        with pytest.raises(NonRationalError, match=r"sqrt\(pi\)\^1,"):
+            gamma_quotient([1], [])
+        assert gamma_quotient([6], []) == 2
 
     def test_product_and_quotient(self):
         # Gamma(1/2)^2 = pi, carried as sqrt(pi)^2
-        sq = gamma_half(1) * gamma_half(1)
-        assert sq == GammaValue(Fraction(1), 2)
-        q = gamma_half(3) / gamma_half(1)
-        assert q.to_fraction() == Fraction(1, 2)
+        assert gamma_half(1) * gamma_half(1) == 1
+        with pytest.raises(NonRationalError, match=r"sqrt\(pi\)\^2,"):
+            gamma_quotient([1, 1], [])
+        assert gamma_quotient([3], [1]) == Fraction(1, 2)
 
     # q must avoid the poles at nonpositive integers: odd twice-values are
     # never integers, even ones must stay positive.
@@ -79,10 +90,7 @@ class TestGammaHalf:
     @settings(max_examples=100)
     def test_recurrence(self, twice):
         """Gamma(q+1) = q * Gamma(q)."""
-        g = gamma_half(twice)
-        g1 = gamma_half(twice + 2)
-        assert g1.pi_half_exp == g.pi_half_exp
-        assert g1.rational_part == Fraction(twice, 2) * g.rational_part
+        assert gamma_half(twice + 2) == Fraction(twice, 2) * gamma_half(twice)
 
     @given(st.lists(st.integers(min_value=-15, max_value=25).filter(
                lambda t: t % 2 != 0), min_size=0, max_size=6),
@@ -91,19 +99,20 @@ class TestGammaHalf:
     @settings(max_examples=100)
     def test_pi_exponent_bookkeeping(self, nums, dens):
         """Each half-odd-integer Gamma carries exactly one sqrt(pi); the
-        power of a quotient is the count difference, and to_fraction
-        succeeds exactly when it cancels."""
-        acc = GammaValue(Fraction(1), 0)
+        power of a quotient is the count difference, and gamma_quotient
+        returns the product of the rational parts exactly when it cancels."""
+        rational_part = Fraction(1)
         for t in nums:
-            acc = acc * gamma_half(t)
+            rational_part *= gamma_half(t)
         for t in dens:
-            acc = acc / gamma_half(t)
-        assert acc.pi_half_exp == len(nums) - len(dens)
+            rational_part /= gamma_half(t)
         if len(nums) == len(dens):
-            assert isinstance(acc.to_fraction(), Fraction)
+            value = gamma_quotient(nums, dens)
+            assert isinstance(value, Fraction) and value == rational_part
         else:
-            with pytest.raises(NonRationalError):
-                acc.to_fraction()
+            power = len(nums) - len(dens)
+            with pytest.raises(NonRationalError, match=rf"sqrt\(pi\)\^{power},"):
+                gamma_quotient(nums, dens)
 
 
 class TestCatalan:
@@ -208,9 +217,11 @@ def _morris_at_half_b(n, a, twoc):
         den += [2 * a + j * twoc, twoc + j * twoc, 1 + j * twoc]
     if any(t <= 0 and t % 2 == 0 for t in den):
         return Fraction(0)
-    acc = GammaValue(Fraction(1), 0)
+    # one sqrt(pi) per odd argument: the counts must cancel for a rational value
+    assert sum(t % 2 for t in num) == sum(t % 2 for t in den)
+    acc = Fraction(1)
     for t in num:
-        acc = acc * gamma_half(t)
+        acc *= gamma_half(t)
     for t in den:
-        acc = acc / gamma_half(t)
-    return acc.to_fraction() / factorial(n)
+        acc /= gamma_half(t)
+    return acc / factorial(n)

@@ -58,6 +58,15 @@ class TestConstruction:
         assert hash(1 - x1) == hash(Poly({(): 1, ((0, 1),): -1}))
         assert len({x1, Poly.var(0), x2}) == 2
 
+    @pytest.mark.parametrize("value", [2, -3, Fraction(7, 3), Fraction(-1, 2), 0])
+    def test_constant_hashes_as_its_value(self, value):
+        # equal objects hash equal, so a constant and its value find each
+        # other as dict keys, whichever way the constant was built
+        for p in (Poly.constant(value), Poly({(): value}), (x1 + value) - x1,
+                  Poly.constant(value) * 6 * Fraction(1, 6)):
+            assert p == value and hash(p) == hash(value)
+            assert value in {p: 0} and p in {value: 0}
+
 
 class TestArithmetic:
     def test_product_example(self):
