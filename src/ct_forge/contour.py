@@ -14,7 +14,7 @@ points of the 2N grid, so each doubling step evaluates the factors once.
 _sample never forms the whole N**n grid: each factor is evaluated on the
 axes of its own variables, the factors on one axis set are multiplied in
 place into the set's first array, each set is folded into one that
-contains it, and what is left is summed by np.sum or one np.einsum.
+contains it, and what is left is summed by one sum or one np.einsum.
 Grids over _SAMPLE_BUDGET points are refused.
 Only the sampling functions import numpy, so importing this module (as the
 CLI does for every subcommand) starts no BLAS threads.
@@ -35,6 +35,7 @@ of contour_ct_converged, on the torus read off its factors and bases.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -85,13 +86,13 @@ def converged(v1: complex, v2: complex, tol: float) -> bool:
 
 def _poly_on_grid(p: Poly, xs: Sequence[np.ndarray]):
     import numpy as np
-    total = 0
+    total = None
     for mono, coef in p.terms():
         term = complex(coef)
         for v, e in mono:
-            term = term * xs[v] ** e
-        total = total + term
-    return np.asarray(total, dtype=complex)
+            term = term * (xs[v] if e == 1 else xs[v] ** e)
+        total = term if total is None else total + term
+    return np.asarray(0j if total is None else total)
 
 
 def _origin_radii(n: int, epsilon: float) -> List[float]:
@@ -156,7 +157,7 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
         for axes, vals in groups.items():
             operands += [vals.reshape((points,) * len(axes))[step * len(axes)], list(axes)]
         if len(groups) == 1:
-            total = np.sum(operands[0])
+            total = operands[0].sum()
         else:
             total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
         means.append(complex(total) / grid ** len(set().union(*groups)))
@@ -224,11 +225,14 @@ def _chosen_radii(f: FactoredRational, origin: Sequence[float],
         if not (floor > 0 and h1 * origin_radii[v] < floor):
             raise ConfigError(
                 f"the origin torus leaves the expansion domain at x{v + 1}")
+    # A condition's h0 holds only variables after its head, and each of those
+    # but the last heads conditions of its own, so from the outermost head
+    # inwards every radius a floor reads is final when it is read.
     radii: Dict[float, float] = {}
-    for v in reversed(range(len(origin))):
-        radii[v] = min((_TORUS_RATIO * _h0_floor(h0, radii) / h1
-                        for (w, h1), *h0 in conditions if w == v), default=1.0)
-    return [radii[v] for v in range(len(origin))]
+    for (v, h1), *h0 in sorted(conditions, reverse=True):
+        r = _TORUS_RATIO * _h0_floor(h0, radii) / h1
+        radii[v] = min(r, radii.get(v, r))
+    return [radii.get(v, 1.0) for v in range(len(origin))]
 
 
 def contour_ct_converged(
@@ -262,7 +266,8 @@ def contour_ct_converged(
         while _TORUS_RATIO ** start_points > tol:
             start_points *= 2
     points = QuadratureConfig(epsilon, start_points).points
-    if max_points not in {start_points << k for k in range(1, 64)}:
+    ratio, rest = divmod(max_points, start_points)
+    if rest or ratio < 2 or ratio & (ratio - 1):
         raise ConfigError(f"max_points={max_points} must be start_points="
                           f"{start_points} times a power of two >= 2")
     origin = _origin_radii(spec.n, epsilon)
@@ -328,11 +333,23 @@ def chain_values(n: int, a: int, twoc: int,
     cfg.epsilon states each form's origin torus |u_j| = j*epsilon, refused
     outside n*epsilon < 0.1 and required to meet the expansion rule, as in
     contour_ct_converged; each form is sampled at cfg.points per circle on
-    the torus _chosen_radii reads off its factors and square-root bases."""
+    the torus _chosen_radii reads off its factors and square-root bases.
+    Raises ConfigError, naming the form, when a coefficient or a sample of
+    it leaves the float64 range, which a NaN or infinite mean shows."""
+    import numpy as np
     origin = _chain_origin(n, a, twoc, cfg.epsilon)
     out: Dict[str, complex] = {}
     for form, (f, roots) in _chain_forms(n, a, twoc).items():
-        out[form] = _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots)
+        radii = _chosen_radii(f, origin, roots)
+        try:
+            with np.errstate(all="ignore"):  # the mean below shows any overflow
+                value = _sample(f, radii, cfg.points, roots)
+        except OverflowError:  # complex() of an int coefficient past float64
+            value = math.inf
+        if not cmath.isfinite(value):
+            raise ConfigError(f"the {form} form for n={n} a={a} twoc={twoc} "
+                              "exceeds the float64 range")
+        out[form] = value
     return out
 
 

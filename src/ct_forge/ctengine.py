@@ -18,6 +18,14 @@ The engine convolves the factor series with the numerator's v-coefficients
 up to the needed order.  No polynomial gcd is ever computed: results stay
 factored, and every new denominator base is the v-free part h0 of an input
 base, which keeps all bases affine per variable.
+
+FactoredRational.create keeps the bases in one canonical order, read off
+their packed terms by Poly.order_key, not off the rendered text: bases of
+several terms without a constant term first, then those with one, then
+single terms, each group by its sorted (packed monomial, coefficient)
+pairs.  ct_var walks the factors in that order, so its last series factor,
+the one that contributes only a dot product, is the last affine factor in
+it.  On the family integrands up to n = 9 the order is that of the text.
 """
 
 from __future__ import annotations
@@ -64,10 +72,11 @@ class FactoredRational:
             if content != 1:
                 scale /= content ** exp
             merged[prim] = merged.get(prim, 0) + exp
-        num = num * scale
+        if scale != 1:
+            num = num * scale
         if num.is_zero():
             return cls(Poly.zero(), ())
-        factors = tuple(sorted(merged.items(), key=lambda f: (str(f[0]), f[1])))
+        factors = tuple(sorted(merged.items(), key=lambda f: f[0].order_key()))
         return cls(num, factors)
 
     def is_zero(self) -> bool:

@@ -294,6 +294,14 @@ class Poly:
             return 1, self
         return self._content, Poly._raw(self._terms, 1)
 
+    def order_key(self) -> tuple:
+        """The key that orders a factored rational's primitive bases: bases
+        of several terms first, those without a constant term before those
+        with one, then single terms, each group by its sorted (packed
+        monomial, coefficient) pairs.  The content takes no part."""
+        t = self._terms
+        return len(t) == 1, 0 in t, sorted(t.items())
+
     # -- text ------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ct_forge import contour
 from ct_forge.cli import main
 from ct_forge.contour import contour_ct_converged, default_epsilon
 from ct_forge.identities import IdentitySpec
@@ -241,6 +242,17 @@ class TestCt:
         code, out, err = run(capsys, ["ct", path, "--order", "2,1"])
         assert code == 0 and out.strip() == "-2" and "warning" in err
 
+    @pytest.mark.parametrize("den", [[["1 - x1^2", 1], ["x2 - x1^2", 1]],
+                                     [["x2 - x1^2", 1], ["1 - x1^2", 1]]])
+    def test_first_offending_factor_in_canonical_order(self, capsys, tmp_path, den):
+        # the error names the first bad factor in create's order, whatever the
+        # file's order: a base without a constant term sorts first
+        path = self.write(tmp_path, {"num": "1", "den": den})
+        code, out, err = run(capsys, ["ct", path])
+        assert (code, out) == (2, "")
+        assert err == ("error: factor (x2 - x1^2) has degree 2 in x1; "
+                       "constant-term extraction needs affine factors\n")
+
     @pytest.mark.parametrize("order", ["1,1", "0,0", "0,1", "x"])
     def test_bad_order(self, capsys, tmp_path, order):
         path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", 2], ["1 - x2", 2]]})
@@ -376,6 +388,30 @@ class TestChain:
         assert (code, out) == (2, "")
         assert err == ("error: the closed form for n=1 a=550 twoc=1 "
                        "exceeds the float64 range\n")
+
+    def test_nan_form_is_refused(self, capsys):
+        # the closed form fits, but the y form's samples overflow to NaN, and
+        # a NaN used to drop out of the max-folds and read as agreement
+        code, out, err = run(capsys, ["chain", "--n", "1", "--a", "400", "--twoc", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: the y form for n=1 a=400 twoc=1 exceeds the float64 range\n"
+
+    @pytest.mark.parametrize("a", ["513", "515"])
+    def test_form_past_float64(self, capsys, a):
+        # the z form's prefactor 2**(2a - 1) no longer fits in a float; the x
+        # form's samples overflow first and name it
+        code, out, err = run(capsys, ["chain", "--n", "1", "--a", a, "--twoc", "1"])
+        assert (code, out) == (2, "")
+        assert err == f"error: the x form for n=1 a={a} twoc=1 exceeds the float64 range\n"
+
+    def test_prefactor_past_float64(self, capsys, monkeypatch):
+        # sampled alone, the z form fails in complex() of its int prefactor
+        forms = contour._chain_forms
+        monkeypatch.setattr(contour, "_chain_forms",
+                            lambda n, a, twoc: {"z": forms(n, a, twoc)["z"]})
+        code, out, err = run(capsys, ["chain", "--n", "1", "--a", "513", "--twoc", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: the z form for n=1 a=513 twoc=1 exceeds the float64 range\n"
 
 
 class TestGammaCheck:

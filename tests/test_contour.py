@@ -118,7 +118,7 @@ class TestContourCt:
         with pytest.raises(ConfigError):
             contour_ct_converged(IdentitySpec.create("cry", 2), epsilon=0.05)
 
-    @pytest.mark.parametrize("start,top", [(64, 100), (64, 64), (64, 32), (None, 48)])
+    @pytest.mark.parametrize("start,top", [(64, 100), (64, 64), (64, 32), (None, 48), (64, 192)])
     def test_max_points_must_double_the_start(self, start, top):
         """max_points is start_points times 2**k, k >= 1; the derived start
         at tol 1e-6 is 32."""

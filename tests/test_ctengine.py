@@ -80,6 +80,38 @@ class TestFactoredRational:
         assert rationals.equivalent(h, rational(Poly.constant(2), [(one - x1, 1)]))
 
 
+# Bases of every kind create orders: homogeneous, with a constant term,
+# single terms, several variables, both signs, and contents to fold out.
+order_pool = [x1, x2, x1 * x2, 3 * x2, one - x1, 1 - 2 * x2, one - x1 - x2, x2 - x1,
+              x1 - x2, 2 * x1 - 2, x1 + x1 * x2, Poly.constant(2)]
+
+
+class TestFactorOrder:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_input_order_does_not_matter(self, data):
+        """create returns one FactoredRational for any permutation of its
+        factors, and for a base whose exponent is split across entries."""
+        den = data.draw(st.lists(st.tuples(st.sampled_from(order_pool), st.integers(1, 3)),
+                                 min_size=1, max_size=6))
+        num = x1 + 2
+        f = rational(num, den)
+        assert rational(num, data.draw(st.permutations(den))) == f
+        i = data.draw(st.integers(0, len(den) - 1))
+        base, exp = den[i]
+        k = data.draw(st.integers(1, 3))
+        merged = den[:i] + [(base, exp + k)] + den[i + 1:]
+        split = data.draw(st.permutations(den + [(base, k)]))
+        assert rational(num, split) == rational(num, merged)
+
+    def test_groups(self):
+        # several terms without a constant, then with one, then single terms
+        f = rational(one, [(x1, 1), (one - x2, 1), (x1 * x2, 1), (x2 - x1, 1),
+                           (one - x1, 1), (x1 - x2, 1)])
+        assert [str(b) for b, _ in f.den] == [
+            "-x1 + x2", "x1 - x2", "1 - x1", "1 - x2", "x1", "x1*x2"]
+
+
 class TestCtVar:
     def test_monomial_times_geometric(self):
         # coefficient of x1^1 in (1-x1)^-2

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_series
-from ct_forge.ctengine import ct_iterated
+from ct_forge.ctengine import ct_iterated, ct_var
 from ct_forge.errors import DomainError, ParseError
 from ct_forge.identities import (
     IdentityFamily,
@@ -131,6 +131,26 @@ class TestBuildIntegrand:
         if n <= 3:
             assert f.num == 1
             assert [(str(b), e) for b, e in f.den] == LITERAL_DEN[family][n]
+
+    @pytest.mark.parametrize("family,params", [
+        ("cry", {}), ("mm", {}), ("morris", {}), ("morris", {"a": 3, "b": 2, "twoc": 2}),
+        ("thm", {}), ("thm", {"a": 1, "twoc": 2}),
+    ])
+    def test_order_is_the_rendered_order(self, family, params):
+        """create orders bases by their packed terms, never by their text;
+        on the family integrands up to n = 9, and on every intermediate ct_var
+        forms from them up to n = 4, that is the order of (str(base), exp),
+        so ct_var's series order is the rendered one there.  From n = 10 it is
+        not: x10 renders before x2."""
+        def rendered(f):
+            return sorted(f.den, key=lambda fac: (str(fac[0]), fac[1]))
+
+        for n in range(1, 10):
+            f = build_integrand(IdentitySpec.create(family, n, **params))
+            assert list(f.den) == rendered(f)
+            for v in range(n if n <= 4 else 0):
+                f = ct_var(f, v)
+                assert list(f.den) == rendered(f)
 
     def test_morris_exponents_follow_parameters(self):
         f = build_integrand(IdentitySpec.create("morris", 2, a=3, b=2, twoc=2))
