@@ -79,10 +79,9 @@ def _spec_from_args(args) -> IdentitySpec:
 def _report_line(report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.to_json())
-    s = report.spec
     flag = "equal" if report.equal else "MISMATCH"
-    return (f"{s.family.value} n={s.n} a={s.a} b={s.b} twoc={s.twoc}: "
-            f"lhs={report.lhs} rhs={report.rhs} {flag} ({report.elapsed_ms:.1f} ms)")
+    return (f"{report.spec}: lhs={report.lhs} rhs={report.rhs} {flag} "
+            f"({report.elapsed_ms:.1f} ms)")
 
 
 def _cmd_verify(args) -> int:
@@ -141,8 +140,7 @@ def _cmd_oracle(args) -> int:
         print(json.dumps({"re": fine.real, "im": fine.imag, "N": points,
                           "epsilon": epsilon, "converged": is_converged}))
     else:
-        print(f"{spec.family.value} n={spec.n} a={spec.a} b={spec.b} twoc={spec.twoc}: "
-              f"re={fine.real!r} im={fine.imag!r} N={points} "
+        print(f"{spec}: re={fine.real!r} im={fine.imag!r} N={points} "
               f"epsilon={epsilon} converged={'yes' if is_converged else 'no'}")
     return 0 if is_converged else 1
 
@@ -152,7 +150,7 @@ def _cmd_chain(args) -> int:
     cfg = QuadratureConfig(epsilon, args.points)
     _chain_origin(args.n, args.a, args.twoc, epsilon)  # refuse what chain_values would, first
     exact = thm_rhs(args.n, args.a, args.twoc)
-    try:  # before sampling, which would overflow first and only warn
+    try:  # before sampling, so an overflowing closed form is named as such
         exact_float = float(exact)
     except OverflowError:
         raise CTForgeError(f"the closed form for n={args.n} a={args.a} twoc={args.twoc} "
@@ -263,10 +261,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except CTForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (CTForgeError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

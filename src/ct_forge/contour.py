@@ -15,12 +15,13 @@ _sample never forms the whole N**n grid: each factor is evaluated on the
 axes of its own variables, the factors on one axis set are multiplied in
 place into the set's first array, each set is folded into one that
 contains it, and what is left is summed by one sum or one np.einsum.
-Grids over _SAMPLE_BUDGET points are refused.
+Grids over _SAMPLE_BUDGET points are refused, and no sample warns or
+raises past the float64 range: a mean that is not finite is the signal.
 Only the sampling functions import numpy, so importing this module (as the
 CLI does for every subcommand) starts no BLAS threads.
 
 contour_ct_converged checks the origin torus r_j = j*epsilon the caller
-states (n <= 4, n*epsilon < 0.1) and samples a torus whose radii are read
+states (n*epsilon < 0.1) and samples a torus whose radii are read
 off the integrand's factors (see _chosen_radii): as wide as the expansion
 domain allows, which keeps the mean |f|, and with it the float64 noise
 floor, small while the error still decays like 0.5**N, and so the
@@ -79,8 +80,6 @@ def default_epsilon(n: int, shifted: bool = False) -> float:
 
 def converged(v1: complex, v2: complex, tol: float) -> bool:
     """N-doubling acceptance: |v1 - v2| <= tol * max(1, |v2|)."""
-    if not (tol > 0):
-        raise ConfigError("tolerance must be positive")
     return abs(v1 - v2) <= tol * max(1.0, abs(v2))
 
 
@@ -96,15 +95,19 @@ def _poly_on_grid(p: Poly, xs: Sequence[np.ndarray]):
 
 
 def _origin_radii(n: int, epsilon: float) -> List[float]:
-    """Radii j*epsilon of the caller's origin torus, refused unless
-    n <= 4 and n*epsilon < 0.1."""
-    if n > 4:
-        raise ConfigError("quadrature supports n <= 4 (cost grows as points**n)")
+    """Radii j*epsilon of the caller's origin torus, refused unless n*epsilon < 0.1."""
     if n * epsilon >= 0.1:
         raise ConfigError(
             f"n*epsilon = {n * epsilon:.4f} must stay below 0.1 so every "
             "circle avoids the non-origin poles")
     return [j * epsilon for j in range(1, n + 1)]
+
+
+def _check_budget(n: int, *grids: int) -> None:
+    for grid in grids:
+        if grid ** n > _SAMPLE_BUDGET:
+            raise ConfigError(f"n={n} at N={grid} needs points**n = {grid ** n} "
+                              f"samples, over the budget of {_SAMPLE_BUDGET}")
 
 
 def _sample(f: FactoredRational, radii: Sequence[float], points: int,
@@ -117,10 +120,7 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     import numpy as np
     n = len(radii)
     grids = (points // 2, points) if coarse else (points,)
-    for grid in grids:
-        if grid ** n > _SAMPLE_BUDGET:
-            raise ConfigError(f"n={n} at N={grid} needs points**n = {grid ** n} "
-                              f"samples, over the budget of {_SAMPLE_BUDGET}")
+    _check_budget(n, *grids)
     unit = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
     xs = [(r * unit).reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
           for j, r in enumerate(radii)]
@@ -135,32 +135,36 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
         for _ in range(times):  # numpy's complex power is slower for exp != 2
             np.multiply(buf, vals, out=buf)
 
-    put(num, _poly_on_grid(f.num, xs))
-    for base, exp in f.den:
-        put(den, _poly_on_grid(base, xs), exp)
-    for base in roots:
-        vals = _poly_on_grid(base, xs)
-        if not np.all(vals.real > 0):
-            raise ConfigError("square-root factor left the right half-plane")
-        put(den, np.sqrt(vals))
-    for axes, buf in den.items():
-        np.divide(num.pop(axes, 1), buf, out=buf)
-    groups = {**den, **num}
-    for axes in sorted(groups, key=len):
-        hosts = [b for b in groups if set(axes) < set(b)]
-        if hosts:
-            groups[hosts[0]] *= groups.pop(axes)
-    means = []
-    for grid in grids:
-        step = (slice(None, None, points // grid),)
-        operands = []
-        for axes, vals in groups.items():
-            operands += [vals.reshape((points,) * len(axes))[step * len(axes)], list(axes)]
-        if len(groups) == 1:
-            total = operands[0].sum()
-        else:
-            total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
-        means.append(complex(total) / grid ** len(set().union(*groups)))
+    with np.errstate(all="ignore"):  # the means below show any overflow
+        try:
+            put(num, _poly_on_grid(f.num, xs))
+            for base, exp in f.den:
+                put(den, _poly_on_grid(base, xs), exp)
+            for base in roots:
+                vals = _poly_on_grid(base, xs)
+                if not np.all(vals.real > 0):
+                    raise ConfigError("square-root factor left the right half-plane")
+                put(den, np.sqrt(vals))
+        except OverflowError:  # complex() of an int coefficient past float64
+            return (math.inf,) * len(grids) if coarse else math.inf
+        for axes, buf in den.items():
+            np.divide(num.pop(axes, 1), buf, out=buf)
+        groups = {**den, **num}
+        for axes in sorted(groups, key=len):
+            hosts = [b for b in groups if set(axes) < set(b)]
+            if hosts:
+                groups[hosts[0]] *= groups.pop(axes)
+        means = []
+        for grid in grids:
+            step = (slice(None, None, points // grid),)
+            operands = []
+            for axes, vals in groups.items():
+                operands += [vals.reshape((points,) * len(axes))[step * len(axes)], list(axes)]
+            if len(groups) == 1:
+                total = operands[0].sum()
+            else:
+                total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
+            means.append(complex(total) / grid ** len(set().union(*groups)))
     return tuple(means) if coarse else means[0]
 
 
@@ -246,17 +250,19 @@ def contour_ct_converged(
     once, at 2N; the first takes its N estimate from the even points.
 
     epsilon states the origin torus |x_j| = j*epsilon (default 0.05/n),
-    refused before the integrand is built unless n <= 4 and
-    n*epsilon < 0.1.  The samples are taken on the torus _chosen_radii
-    reads off the integrand's factors: every affine base h0 + h1*v, v its
-    first-eliminated variable, keeps max |h1*v / h0| below 1 on it, and
-    so does every h0 in turn.  That is the condition under which ct_var's
-    geometric series converge, and the origin torus meets it too, so both
-    tori have the same constant term.
+    refused unless n*epsilon < 0.1.  The samples are taken on the torus
+    _chosen_radii reads off the integrand's factors: every affine base
+    h0 + h1*v, v its first-eliminated variable, keeps max |h1*v / h0| below
+    1 on it, and so does every h0 in turn.  That is the condition under
+    which ct_var's geometric series converge, and the origin torus meets it
+    too, so both tori have the same constant term.
     start_points defaults to the least power of two N with _TORUS_RATIO**N
     <= tol (32 at tol 1e-6); pole orders can need more, which comparing N
     with 2N finds.  Raises ConfigError unless max_points = start_points *
-    2**k, k >= 1, or when the expansion rule cannot hold on either torus."""
+    2**k, k >= 1, when the expansion rule cannot hold on either torus, when
+    an estimate leaves the float64 range, or past _SAMPLE_BUDGET, the one
+    bound on n: on a 2-vCPU VM n=5 takes 6 s at N=64, and the dearest calls
+    it admits, cry n=8 at N=16 and n=11 at N=8, about 60 and 90 s."""
     if not (tol > 0):
         raise ConfigError("tolerance must be positive")
     if epsilon is None:
@@ -271,15 +277,18 @@ def contour_ct_converged(
         raise ConfigError(f"max_points={max_points} must be start_points="
                           f"{start_points} times a power of two >= 2")
     origin = _origin_radii(spec.n, epsilon)
+    _check_budget(spec.n, points, 2 * points)  # the first step's, before building f
     f = build_integrand(spec)
     radii = _chosen_radii(f, origin)
     points *= 2
     value, nxt = _sample(f, radii, points, coarse=True)
-    while not converged(value, nxt, tol):
+    while cmath.isfinite(nxt) and not converged(value, nxt, tol):
         if points == max_points:
             return nxt, points, False
         points *= 2
         value, nxt = nxt, _sample(f, radii, points)
+    if not cmath.isfinite(nxt):
+        raise ConfigError(f"the {spec} integrand exceeds the float64 range")
     return nxt, points, True
 
 
@@ -317,11 +326,8 @@ def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, tuple]:
 
 
 def _chain_origin(n: int, a: int, twoc: int, epsilon: float) -> List[float]:
-    """The chain's origin radii, after refusing what chain_values does not support."""
-    if not 1 <= n <= 3:
-        raise ConfigError(f"the chain check supports 1 <= n <= 3, got n={n}")
-    if a < 1 or twoc < 1:
-        raise ConfigError("chain parameters need a >= 1 and twoc >= 1")
+    """The chain's origin radii, once the thm catalog row accepts n, a and twoc."""
+    IdentitySpec.create("thm", n, a=a, twoc=twoc)
     return _origin_radii(n, epsilon)
 
 
@@ -334,18 +340,12 @@ def chain_values(n: int, a: int, twoc: int,
     outside n*epsilon < 0.1 and required to meet the expansion rule, as in
     contour_ct_converged; each form is sampled at cfg.points per circle on
     the torus _chosen_radii reads off its factors and square-root bases.
-    Raises ConfigError, naming the form, when a coefficient or a sample of
-    it leaves the float64 range, which a NaN or infinite mean shows."""
-    import numpy as np
+    Raises ConfigError, naming the form, when its mean leaves the float64
+    range, or past _SAMPLE_BUDGET, the one bound on n."""
     origin = _chain_origin(n, a, twoc, cfg.epsilon)
     out: Dict[str, complex] = {}
     for form, (f, roots) in _chain_forms(n, a, twoc).items():
-        radii = _chosen_radii(f, origin, roots)
-        try:
-            with np.errstate(all="ignore"):  # the mean below shows any overflow
-                value = _sample(f, radii, cfg.points, roots)
-        except OverflowError:  # complex() of an int coefficient past float64
-            value = math.inf
+        value = _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots)
         if not cmath.isfinite(value):
             raise ConfigError(f"the {form} form for n={n} a={a} twoc={twoc} "
                               "exceeds the float64 range")

@@ -42,7 +42,7 @@ from .errors import (
     ResidualVariableError,
     ZeroConstantError,
 )
-from .polyring import Poly, parse_poly
+from .polyring import _MAX_EXP, Poly, _overflow, parse_poly
 
 Factor = Tuple[Poly, int]
 
@@ -144,6 +144,8 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
             mono_scale /= h1.constant_coeff() ** exp
             continue
         series_factors.append((h0, h1, exp))
+    if M > _MAX_EXP:  # refused before the series work, which grows linearly in M
+        raise _overflow(v)
 
     # Wanted: coefficient of v**M in num * prod (h0 + h1*v)**-exp.
     # Each factor's series is cleared of negative powers by the per-factor

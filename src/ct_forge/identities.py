@@ -131,6 +131,9 @@ class IdentitySpec:
             raise DomainError(f"{family.value} requires a >= {row.min_a}")
         return cls(family, n, a, b, twoc)
 
+    def __str__(self) -> str:
+        return f"{self.family.value} n={self.n} a={self.a} b={self.b} twoc={self.twoc}"
+
 
 def build_integrand(spec: IdentitySpec) -> FactoredRational:
     """The family integrand as a FactoredRational with numerator 1."""

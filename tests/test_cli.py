@@ -284,6 +284,20 @@ class TestCt:
         code, _, err = run(capsys, ["ct", str(tmp_path / "absent.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("den", [[["x1", 40000], ["1 - x1", 1]],
+                                     [["x1^40000", 1], ["1 - x1", 1]]])
+    def test_monomial_shift_past_packed_exponent(self, capsys, tmp_path, den):
+        # the shift M = 40000 is refused like the exponent it stands for
+        path = self.write(tmp_path, {"num": "1", "den": den})
+        code, out, err = run(capsys, ["ct", path])
+        assert (code, out) == (2, "")
+        assert err == "error: exponent of x1 exceeds 32767, the largest a packed monomial holds\n"
+
+    def test_largest_monomial_shift(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"num": "1", "den": [["x1", 32767], ["1 - x1", 1]]})
+        code, out, _ = run(capsys, ["ct", path])
+        assert (code, out) == (0, "1\n")
+
     def test_too_many_variables(self, capsys, tmp_path):
         den = [[f"x{i}", 1] for i in range(1, 7)]
         path = self.write(tmp_path, {"num": "1", "den": den})
@@ -346,6 +360,21 @@ class TestOracle:
         assert code == 2 and out == ""
         assert "n=4 at N=1024" in err and "budget" in err
 
+    def test_n5_meets_the_budget_not_a_variable_cap(self, capsys):
+        code, out, err = run(capsys, ["oracle", "--family", "cry", "--n", "5"])
+        assert (code, out) == (2, "")
+        assert err == ("error: n=5 at N=1024 needs points**n = 1125899906842624 "
+                       "samples, over the budget of 8589934592\n")
+
+    @pytest.mark.parametrize("argv,label", [
+        (["--family", "morris", "--n", "1", "--a", "1100"], "morris n=1 a=1100 b=0 twoc=1"),
+        (["--family", "thm", "--n", "2", "--a", "300"], "thm n=2 a=300 b=0 twoc=1")])
+    def test_integrand_past_float64(self, capsys, argv, label):
+        # was a RuntimeWarning and re=nan ... converged=no, exit 1
+        code, out, err = run(capsys, ["oracle"] + argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: the {label} integrand exceeds the float64 range\n"
+
 
 class TestChain:
     def test_agreement(self, capsys):
@@ -373,8 +402,24 @@ class TestChain:
         assert code == 2
         # the parameters are refused before the closed form is computed, so
         # an overflowing one does not hide the reason
-        code, out, err = run(capsys, ["chain", "--n", "4", "--a", "600", "--twoc", "1"])
-        assert (code, out) == (2, "") and "1 <= n <= 3, got n=4" in err
+        code, out, err = run(capsys, ["chain", "--n", "1", "--a", "600", "--twoc", "1",
+                                      "--epsilon", "0.2"])
+        assert (code, out) == (2, "") and "n*epsilon = 0.2000 must stay below 0.1" in err
+
+    def test_n4_meets_the_budget(self, capsys):
+        code, out, err = run(capsys, ["chain", "--n", "4", "--a", "2", "--twoc", "1"])
+        assert (code, out) == (2, "")
+        assert "n=4 at N=1024" in err and "over the budget" in err
+        code, out, _ = run(capsys, ["chain", "--n", "4", "--a", "2", "--twoc", "1",
+                                    "--points", "64"])
+        assert code == 0 and out.endswith("-> within tolerance\n")
+
+    @pytest.mark.parametrize("a,twoc,message", [
+        ("0", "1", "thm requires a >= 1"),
+        ("2", "0", "twoc must be a positive integer (twoc = 2c)")])
+    def test_parameters_from_the_thm_catalog(self, capsys, a, twoc, message):
+        code, out, err = run(capsys, ["chain", "--n", "2", "--a", a, "--twoc", twoc])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n(self, capsys, n):

@@ -5,6 +5,7 @@ so modest sample counts already sit at the double-precision floor for the
 small instances exercised here.
 """
 
+import cmath
 import math
 import random
 
@@ -24,7 +25,7 @@ from ct_forge.contour import (
     default_epsilon,
 )
 from ct_forge.ctengine import FactoredRational, ct_iterated
-from ct_forge.errors import ConfigError
+from ct_forge.errors import ConfigError, DomainError
 from ct_forge.exactarith import thm_rhs
 from ct_forge.identities import IdentitySpec, build_integrand, rhs
 from ct_forge.polyring import Poly, parse_poly
@@ -68,10 +69,6 @@ class TestConverged:
         assert not converged(31.9, 32.0, 1e-6)
         assert converged(0, 0, 1e-9)  # the max(1, .) floor handles zero
 
-    def test_tolerance_domain(self):
-        with pytest.raises(ConfigError):
-            converged(1.0, 1.0, 0.0)
-
 
 class TestContourCt:
     def test_cry_n1(self):
@@ -91,14 +88,24 @@ class TestContourCt:
             contour_ct_converged(IdentitySpec.create("morris", 3), epsilon=0.034)
 
     def test_variable_cap(self, monkeypatch):
-        """n > 4 is refused before the integrand, whose size grows as n**2,
-        is built."""
+        """No variable count is refused, only the sample budget; a first
+        step over it is refused before the integrand, whose size grows as
+        n**2, is built."""
         def unreachable(spec):
             raise AssertionError("build_integrand called")
 
         monkeypatch.setattr(contour, "build_integrand", unreachable)
-        with pytest.raises(ConfigError, match="n <= 4"):
-            contour_ct_converged(IdentitySpec.create("mm", 5))
+        with pytest.raises(ConfigError, match="n=5 at N=1024 .* over the budget"):
+            contour_ct_converged(IdentitySpec.create("mm", 5), start_points=1024,
+                                 max_points=2048)
+
+    def test_n5_inside_the_budget(self):
+        """cry n=5 at N=32 is 2**25 samples, well inside the budget, and
+        its estimate there is finite and close."""
+        value, points, _ = contour_ct_converged(IdentitySpec.create("cry", 5),
+                                                start_points=16, max_points=32)
+        assert points == 32 and cmath.isfinite(value)
+        assert rel_err(value, 5880) < 1e-8
 
     def test_converging_wrapper(self):
         value, points, ok = contour_ct_converged(IdentitySpec.create("mm", 2))
@@ -166,6 +173,14 @@ class TestConvergedStart:
         with pytest.raises(ConfigError, match="tolerance"):
             contour_ct_converged(IdentitySpec.create("mm", 2), tol=tol)
         assert sampled == []
+
+    def test_float64_refused_at_its_step(self, sampled):
+        """A mean past the float64 range is refused at the step that gave
+        it, not doubled up to max_points as an unconverged NaN."""
+        with pytest.raises(ConfigError, match="^the morris n=1 a=1100 b=0 twoc=1 "
+                                              "integrand exceeds the float64 range$"):
+            contour_ct_converged(IdentitySpec.create("morris", 1, a=1100))
+        assert sampled == [32, 64]
 
     def test_explicit_start_is_honoured(self, sampled):
         value, used, ok = contour_ct_converged(IdentitySpec.create("mm", 3),
@@ -254,6 +269,15 @@ class TestContraction:
         f = FactoredRational.create(Poly.one(), [(parse_poly("2 - x1"), 1)])
         with pytest.raises(ConfigError, match="right half-plane"):
             _sample(f, self.RADII, self.POINTS, [parse_poly("10*x2 - 1")])
+
+    def test_past_float64_is_not_finite(self):
+        """No sample warns (pytest makes a RuntimeWarning an error) or raises
+        past the float64 range; the mean shows it."""
+        f = FactoredRational.create(Poly.constant(2 ** 1100), [(parse_poly("2 - x1"), 1)])
+        assert _sample(f, self.RADII, self.POINTS) == math.inf
+        assert _sample(f, self.RADII, self.POINTS, coarse=True) == (math.inf, math.inf)
+        g = build_integrand(IdentitySpec.create("thm", 2, a=300))
+        assert not cmath.isfinite(_sample(g, [0.25, 0.5], self.POINTS))
 
     def test_sample_budget(self):
         """n=4 at N=2048 is refused before any array is built."""
@@ -360,11 +384,11 @@ class TestChain:
 
     def test_config_errors(self):
         cfg = QuadratureConfig(0.005, 64)
-        with pytest.raises(ConfigError):
-            chain_values(4, 2, 1, cfg)
-        with pytest.raises(ConfigError, match="n=0"):
+        with pytest.raises(ConfigError, match="n=4 at N=1024 .* over the budget"):
+            chain_values(4, 2, 1, QuadratureConfig(0.005, 1024))
+        with pytest.raises(DomainError, match="n must be a positive integer, got 0"):
             chain_values(0, 2, 1, cfg)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError, match="thm requires a >= 1"):
             chain_values(2, 0, 1, cfg)
         with pytest.raises(ConfigError):
             chain_values(2, 2, 1, QuadratureConfig(0.07, 64))

@@ -21,6 +21,7 @@ from ct_forge.ctengine import (
     factored_loads,
 )
 from ct_forge.errors import (
+    ExponentOverflowError,
     NonAffineError,
     ParseError,
     ResidualVariableError,
@@ -142,6 +143,12 @@ class TestCtVar:
     def test_zero_constant_part(self):
         with pytest.raises(ZeroConstantError):
             ct_var(rational(one, [(x1 + x1 * x2, 1)]), 0)
+
+    def test_shift_past_packed_exponent(self):
+        # the work grows linearly in the shift M; M = 1e9 is refused before it
+        f = rational(one, [(x1, 10 ** 9), (one - x1, 1), (x2 - x1, 1)])
+        with pytest.raises(ExponentOverflowError, match="exponent of x1 exceeds 32767"):
+            ct_var(f, 0)
 
     def test_odd_monomial_power_kills_even_series(self):
         # x1^-1 alone: no x1^0 term anywhere
