@@ -14,7 +14,11 @@ points of the 2N grid, so each doubling step evaluates the factors once.
 _sample never forms the whole N**n grid: each factor is evaluated on the
 axes of its own variables, the factors on one axis set are multiplied in
 place into the set's first array, each set is folded into one that
-contains it, and what is left is summed by one sum or one np.einsum.
+contains it, and what is left is summed by one sum, by one matrix product
+and one dot when it is the pair triangle (i,j), (i,k), (j,k) of every
+n = 3 family integrand and chain form, or else by one np.einsum.
+chain_values hands each form's arrays to the next form, so a chain call
+allocates its N**2 pair arrays once, not once per form.
 Grids over _SAMPLE_BUDGET points are refused, and no sample warns or
 raises past the float64 range: a mean that is not finite is the signal.
 Only the sampling functions import numpy, so importing this module (as the
@@ -106,17 +110,20 @@ def _origin_radii(n: int, epsilon: float) -> List[float]:
 def _check_budget(n: int, *grids: int) -> None:
     for grid in grids:
         if grid ** n > _SAMPLE_BUDGET:
-            raise ConfigError(f"n={n} at N={grid} needs points**n = {grid ** n} "
+            raise ConfigError(f"n={n} at N={grid} needs points**n = {grid}**{n} "
                               f"samples, over the budget of {_SAMPLE_BUDGET}")
 
 
 def _sample(f: FactoredRational, radii: Sequence[float], points: int,
-            roots: Sequence[Poly] = (), coarse: bool = False):
+            roots: Sequence[Poly] = (), coarse: bool = False,
+            spare: Optional[dict] = None):
     """Mean over the product grid of f times the reciprocal principal
     square root of each base in roots, which must stay in the right
     half-plane; the package's one float evaluator (see the module notes).
     With coarse, returns (mean over the even points, mean over all); the
-    even points are the grid of points // 2, whose budget is checked first."""
+    even points are the grid of points // 2, whose budget is checked first.
+    spare maps array shapes to arrays an earlier call left: each product
+    starts in one of the same shape, if any, and the call leaves its own."""
     import numpy as np
     n = len(radii)
     grids = (points // 2, points) if coarse else (points,)
@@ -125,12 +132,20 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     xs = [(r * unit).reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
           for j, r in enumerate(radii)]
     num, den = {}, {}  # axes -> product of the factors on exactly those axes
+    spare = {} if spare is None else spare
 
     def put(group, vals, times=1):  # vals is fresh: it may become the buffer
         axes = tuple(j for j, size in enumerate(vals.shape) if size > 1)
         buf = group.get(axes)
-        if buf is None:  # never vals *= vals: v*v*v on an aliased buffer is v**4
-            buf = group[axes] = vals if times == 1 else vals * vals
+        if buf is None:  # squared in place only if no multiply follows: v*v*v would be v**4
+            buf = spare.pop(vals.shape, None)
+            if buf is None:
+                buf = vals if times <= 2 else np.empty_like(vals)
+            group[axes] = buf
+            if times > 1:
+                np.multiply(vals, vals, out=buf)
+            elif buf is not vals:
+                np.copyto(buf, vals)
             times -= min(times, 2)
         for _ in range(times):  # numpy's complex power is slower for exp != 2
             np.multiply(buf, vals, out=buf)
@@ -154,17 +169,23 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
             hosts = [b for b in groups if set(axes) < set(b)]
             if hosts:
                 groups[hosts[0]] *= groups.pop(axes)
+        covered = set().union(*groups)
+        triangle = len(groups) == 3 == len(covered) and all(len(a) == 2 for a in groups)
         means = []
         for grid in grids:
             step = (slice(None, None, points // grid),)
-            operands = []
-            for axes, vals in groups.items():
-                operands += [vals.reshape((points,) * len(axes))[step * len(axes)], list(axes)]
-            if len(groups) == 1:
-                total = operands[0].sum()
+            tensors = {axes: vals.reshape((points,) * len(axes))[step * len(axes)]
+                       for axes, vals in groups.items()}
+            if len(tensors) == 1:
+                total = tensors.popitem()[1].sum()
+            elif triangle:  # (i,j), (i,k), (j,k): one matrix product and one dot
+                a, b, c = (tensors[axes] for axes in sorted(tensors))
+                total = np.dot(np.matmul(a.T, b).ravel(), c.ravel())
             else:
+                operands = [x for axes, t in tensors.items() for x in (t, list(axes))]
                 total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
-            means.append(complex(total) / grid ** len(set().union(*groups)))
+            means.append(complex(total) / grid ** len(covered))
+        spare.update((vals.shape, vals) for vals in groups.values())
     return tuple(means) if coarse else means[0]
 
 
@@ -344,8 +365,10 @@ def chain_values(n: int, a: int, twoc: int,
     range, or past _SAMPLE_BUDGET, the one bound on n."""
     origin = _chain_origin(n, a, twoc, cfg.epsilon)
     out: Dict[str, complex] = {}
+    spare: dict = {}  # each form's arrays, for the next form's products
     for form, (f, roots) in _chain_forms(n, a, twoc).items():
-        value = _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots)
+        value = _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots,
+                        spare=spare)
         if not cmath.isfinite(value):
             raise ConfigError(f"the {form} form for n={n} a={a} twoc={twoc} "
                               "exceeds the float64 range")

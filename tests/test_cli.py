@@ -363,7 +363,14 @@ class TestOracle:
     def test_n5_meets_the_budget_not_a_variable_cap(self, capsys):
         code, out, err = run(capsys, ["oracle", "--family", "cry", "--n", "5"])
         assert (code, out) == (2, "")
-        assert err == ("error: n=5 at N=1024 needs points**n = 1125899906842624 "
+        assert err == ("error: n=5 at N=1024 needs points**n = 1024**5 "
+                       "samples, over the budget of 8589934592\n")
+
+    def test_budget_message_stays_short_at_large_n(self, capsys):
+        # printed 1024**400 in full, a 1,205-digit count
+        code, out, err = run(capsys, ["oracle", "--family", "mm", "--n", "400"])
+        assert (code, out) == (2, "")
+        assert err == ("error: n=400 at N=1024 needs points**n = 1024**400 "
                        "samples, over the budget of 8589934592\n")
 
     @pytest.mark.parametrize("argv,label", [

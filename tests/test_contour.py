@@ -220,10 +220,32 @@ class TestContraction:
                                  indexing="ij")
         return np.mean(integrand(x1, x2, x3))
 
+    def full_grid_mean(self, f, roots=()):
+        """f times the reciprocal square root of each root, on the whole grid."""
+        def at(p, xs):
+            return sum(complex(coef) * math.prod(xs[v] ** e for v, e in mono)
+                       for mono, coef in p.terms())
+
+        def integrand(*xs):
+            value = at(f.num, xs) / math.prod(at(base, xs) ** e for base, e in f.den)
+            return value / math.prod(np.sqrt(at(base, xs)) for base in roots)
+        return self.brute_force_mean(integrand)
+
+    @pytest.fixture
+    def einsum_calls(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return einsum(*args, **kwargs)
+        monkeypatch.setattr(np, "einsum", spy)
+        return calls
+
     @pytest.mark.parametrize("triple", [False, True])
     def test_matches_brute_force(self, triple):
-        """Without the base on all three variables the pair groups are left
-        for einsum; with it everything folds into one group."""
+        """Without the base on all three variables the pair triangle is left
+        for the matrix product; with it everything folds into one group."""
         den = [(parse_poly("x1"), 2), (parse_poly("1 - x2"), 1),
                (parse_poly("3 - x1 - x2"), 2), (parse_poly("2 + x1*x3"), 1),
                (parse_poly("2 - x3 + x2"), 3)]
@@ -258,6 +280,47 @@ class TestContraction:
         expected = self.brute_force_mean(integrand)
         value = _sample(f, self.RADII, self.POINTS)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("f,roots", [
+        (build_integrand(IdentitySpec.create("mm", 3)), []),
+        (build_integrand(IdentitySpec.create("thm", 3, a=2, twoc=2)), []),
+        contour._chain_forms(3, 2, 2)["y"]], ids=["mm", "thm", "chain-y"])
+    def test_pair_triangle(self, f, roots, einsum_calls):
+        """The pair groups (i,j), (i,k), (j,k) of every n = 3 family
+        integrand and chain form are summed by a matrix product and a dot,
+        on the full grid and on its even points alike."""
+        value = _sample(f, self.RADII, self.POINTS, roots)
+        expected = self.full_grid_mean(f, roots)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert _sample(f, self.RADII, 2 * self.POINTS, roots, coarse=True)[0] == value
+        assert einsum_calls == []
+
+    def test_two_pair_groups_reach_einsum(self, einsum_calls):
+        """Pair groups (0,1) and (1,2) are no triangle: einsum sums them."""
+        f = FactoredRational.create(parse_poly("1 + x2"), [
+            (parse_poly("x1"), 1), (parse_poly("2 - x1 + x2"), 2),
+            (parse_poly("3 - x2 - x3"), 1), (parse_poly("4 + x3"), 3)])
+        value = _sample(f, self.RADII, self.POINTS)
+        expected = self.full_grid_mean(f)
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert len(einsum_calls) == 1
+
+    def test_spare_arrays_of_other_shapes(self):
+        """One spare dict across integrands of other shapes and N: a call
+        starts a product only in a left array of its own shape, and
+        overwrites what that array held.  Covers exponents 1 to 3."""
+        cube = FactoredRational.create(parse_poly("1 + x1*x2"), [
+            (parse_poly("2 - x1"), 3), (parse_poly("3 - x1 + x2"), 3),
+            (parse_poly("4 + x2 + x3"), 1), (parse_poly("5 - x1 - x3"), 2)])
+        thm3 = build_integrand(IdentitySpec.create("thm", 3, a=3, twoc=2))
+        mm3 = build_integrand(IdentitySpec.create("mm", 3))
+        mm2 = build_integrand(IdentitySpec.create("mm", 2))
+        spare = {}
+        for f, radii, points in [(thm3, self.RADII, 16), (mm3, self.RADII, 16),
+                                 (mm2, [0.25, 0.5], 16), (cube, self.RADII, 32),
+                                 (thm3, self.RADII, 16), (mm2, [0.25, 0.5], 32)]:
+            assert _sample(f, radii, points, spare=spare) == _sample(f, radii, points)
+            assert spare
 
     def test_uncovered_axis(self):
         """A variable no factor involves still counts N points per circle."""
@@ -381,6 +444,18 @@ class TestChain:
         exact = thm_rhs(3, a, twoc)
         for form, v in values.items():
             assert rel_err(v, exact) < 1e-5, form
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_forms_hand_arrays_over_bit_for_bit(self, n):
+        """chain_values hands each form's arrays to the next form; every
+        value equals the form sampled on its own, bit for bit."""
+        cfg = QuadratureConfig(default_epsilon(n, shifted=True), 32)
+        origin = _origin_radii(n, cfg.epsilon)
+        for a in (1, 2, 3):
+            for twoc in (1, 2):
+                alone = {form: _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots)
+                         for form, (f, roots) in contour._chain_forms(n, a, twoc).items()}
+                assert chain_values(n, a, twoc, cfg) == alone, (a, twoc)
 
     def test_config_errors(self):
         cfg = QuadratureConfig(0.005, 64)
