@@ -33,9 +33,9 @@ N-doubling starts where 0.5**N meets the tolerance.
 
 The module also evaluates the four-form substitution chain for the thm
 family.  Written in u = w - centre, with the measure u_j and the form's
-power-of-two prefactor folded in, each form is a factored rational times
-reciprocal square roots of affine bases; it is sampled like the integrand
-of contour_ct_converged, on the torus read off its factors and bases.
+power-of-two prefactor folded in, each form is a factored rational, the
+y and t forms with half-integer powers of affine bases; it is sampled like
+the integrand of contour_ct_converged, on the torus read off its factors.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .ctengine import FactoredRational
+from .ctengine import Factor, FactoredRational
 from .errors import ConfigError
 from .identities import IdentitySpec, build_integrand
 from .polyring import Poly
@@ -115,11 +116,10 @@ def _check_budget(n: int, *grids: int) -> None:
 
 
 def _sample(f: FactoredRational, radii: Sequence[float], points: int,
-            roots: Sequence[Poly] = (), coarse: bool = False,
-            spare: Optional[dict] = None):
-    """Mean over the product grid of f times the reciprocal principal
-    square root of each base in roots, which must stay in the right
-    half-plane; the package's one float evaluator (see the module notes).
+            coarse: bool = False, spare: Optional[dict] = None):
+    """Mean of f over the product grid, the package's one float evaluator
+    (see the module notes); a half-integer power takes the principal square
+    root of its base, in the right half-plane, after the integer powers.
     With coarse, returns (mean over the even points, mean over all); the
     even points are the grid of points // 2, whose budget is checked first.
     spare maps array shapes to arrays an earlier call left: each product
@@ -134,7 +134,12 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     num, den = {}, {}  # axes -> product of the factors on exactly those axes
     spare = {} if spare is None else spare
 
-    def put(group, vals, times=1):  # vals is fresh: it may become the buffer
+    def put(group, p, times=1):
+        vals = _poly_on_grid(p, xs)  # fresh: it may become the buffer
+        if not isinstance(times, int):  # a half-integer power
+            if not np.all(vals.real > 0):
+                raise ConfigError("square-root factor left the right half-plane")
+            vals, times = np.sqrt(vals), times.numerator
         axes = tuple(j for j, size in enumerate(vals.shape) if size > 1)
         buf = group.get(axes)
         if buf is None:  # squared in place only if no multiply follows: v*v*v would be v**4
@@ -152,14 +157,9 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
 
     with np.errstate(all="ignore"):  # the means below show any overflow
         try:
-            put(num, _poly_on_grid(f.num, xs))
-            for base, exp in f.den:
-                put(den, _poly_on_grid(base, xs), exp)
-            for base in roots:
-                vals = _poly_on_grid(base, xs)
-                if not np.all(vals.real > 0):
-                    raise ConfigError("square-root factor left the right half-plane")
-                put(den, np.sqrt(vals))
+            put(num, f.num)
+            for base, exp in sorted(f.den, key=lambda fac: not isinstance(fac[1], int)):
+                put(den, base, exp)
         except OverflowError:  # complex() of an int coefficient past float64
             return (math.inf,) * len(grids) if coarse else math.inf
         for axes, buf in den.items():
@@ -197,10 +197,10 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
 _TORUS_RATIO = 0.5
 
 
-def _expansion_conditions(f: FactoredRational, roots: Sequence[Poly]) -> set:
+def _expansion_conditions(f: FactoredRational) -> set:
     """The convergence conditions of ct_var's geometric series, one for
-    each affine base and, recursively, for each v-free part h0 it leaves;
-    a square-root base in roots adds the same conditions as a factor.
+    each affine base, of an integer or a half-integer power, and,
+    recursively, for each v-free part h0 it leaves.
 
     A base's terms are (variable, |coefficient|) in elimination order, the
     constant last as variable inf.  A condition is such a term list read
@@ -209,7 +209,7 @@ def _expansion_conditions(f: FactoredRational, roots: Sequence[Poly]) -> set:
     magnitude minus the others, and the condition max |h1*v / h0| < 1 is
     linear in the radii."""
     conditions = set()
-    for base in [base for base, _ in f.den] + list(roots):
+    for base, _ in f.den:
         terms = []
         for mono, coef in base.terms():
             if len(mono) > 1 or (mono and mono[0][1] > 1):
@@ -228,10 +228,8 @@ def _h0_floor(h0: Sequence[Tuple[float, float]], radii: Dict[float, float]) -> f
     return lead * radii.get(last, 1.0) - sum(c * radii[w] for w, c in rest)
 
 
-def _chosen_radii(f: FactoredRational, origin: Sequence[float],
-                  roots: Sequence[Poly] = ()) -> List[float]:
-    """Radii for contour_ct_converged and the chain, read off the
-    integrand's factors and square-root bases.
+def _chosen_radii(f: FactoredRational, origin: Sequence[float]) -> List[float]:
+    """Radii for contour_ct_converged and the chain, read off f's factors.
 
     From the outermost variable inwards, each r_v is the largest radius at
     which every condition headed by v has ratio |h1| r_v / min |h0| at most
@@ -243,7 +241,7 @@ def _chosen_radii(f: FactoredRational, origin: Sequence[float],
     non-affine factor or when the origin torus breaks a condition; the
     chosen radii always meet them, since the conditions on a base's later
     terms keep each of its h0 floors above zero."""
-    conditions = _expansion_conditions(f, roots)
+    conditions = _expansion_conditions(f)
     origin_radii = dict(enumerate(origin))
     for (v, h1), *h0 in conditions:
         floor = _h0_floor(h0, origin_radii)
@@ -315,9 +313,9 @@ def contour_ct_converged(
 
 # -- the substitution chain -------------------------------------------------
 
-def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, tuple]:
-    """Each chain form in u = w - centre: a FactoredRational and its
-    square-root bases, with the measure u_j and the prefactor folded in.
+def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, FactoredRational]:
+    """Each chain form in u = w - centre, with the measure u_j and the
+    prefactor folded in; y has the factors (1 + u_j)**(1/2), t (1 - u_j)**(1/2).
 
     X is the thm integrand around 0.  x = (1-z)/2 gives Z around 1, where
     1 - w^2 = -u(2+u) and w_j^2 - w_k^2 = (u_j - u_k)(2 + u_j + u_k);
@@ -329,20 +327,21 @@ def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, tuple]:
     us = [Poly.var(j) for j in range(n)]
     pairs = [(us[j], us[k]) for j in range(n) for k in range(j + 1, n)]
     monomials = [(u, a - 1) for u in us if a > 1]
+    half = Fraction(1, 2)
 
-    def form(scale: int, den: List[Tuple[Poly, int]], roots: List[Poly]):
-        return FactoredRational.create(Poly.constant(scale), monomials + den), roots
+    def form(scale: int, den: List[Factor]):
+        return FactoredRational.create(Poly.constant(scale), monomials + den)
 
     return {
-        "x": (build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc)), []),
+        "x": build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc)),
         "z": form(sign * 2 ** (e - n),
                   [(2 + u, a) for u in us]
                   + [(uj - uk, twoc) for uj, uk in pairs]
-                  + [(2 + uj + uk, twoc) for uj, uk in pairs], []),
+                  + [(2 + uj + uk, twoc) for uj, uk in pairs]),
         "y": form(sign * 2 ** (e - 2 * n),
-                  [(uj - uk, twoc) for uj, uk in pairs], [1 + u for u in us]),
+                  [(uj - uk, twoc) for uj, uk in pairs] + [(1 + u, half) for u in us]),
         "t": form(2 ** (e - 2 * n),
-                  [(uk - uj, twoc) for uj, uk in pairs], [1 - u for u in us]),
+                  [(uk - uj, twoc) for uj, uk in pairs] + [(1 - u, half) for u in us]),
     }
 
 
@@ -360,15 +359,14 @@ def chain_values(n: int, a: int, twoc: int,
     cfg.epsilon states each form's origin torus |u_j| = j*epsilon, refused
     outside n*epsilon < 0.1 and required to meet the expansion rule, as in
     contour_ct_converged; each form is sampled at cfg.points per circle on
-    the torus _chosen_radii reads off its factors and square-root bases.
+    the torus _chosen_radii reads off its factors.
     Raises ConfigError, naming the form, when its mean leaves the float64
     range, or past _SAMPLE_BUDGET, the one bound on n."""
     origin = _chain_origin(n, a, twoc, cfg.epsilon)
     out: Dict[str, complex] = {}
     spare: dict = {}  # each form's arrays, for the next form's products
-    for form, (f, roots) in _chain_forms(n, a, twoc).items():
-        value = _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots,
-                        spare=spare)
+    for form, f in _chain_forms(n, a, twoc).items():
+        value = _sample(f, _chosen_radii(f, origin), cfg.points, spare=spare)
         if not cmath.isfinite(value):
             raise ConfigError(f"the {form} form for n={n} a={a} twoc={twoc} "
                               "exceeds the float64 range")

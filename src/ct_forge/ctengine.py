@@ -1,7 +1,7 @@
 """Exact iterated constant-term extraction for factored rational functions.
 
 A FactoredRational is a polynomial numerator over a product of polynomial
-factors raised to positive integer powers:
+factors raised to positive integer or half-integer (Fraction) powers:
 
     num / prod(base_i ** exp_i)
 
@@ -13,7 +13,8 @@ its reciprocal expands as a geometric series
 
     (h0 + h1*v)**-e = sum_t C(e+t-1, t) * (-1)**t * h1**t * h0**(-e-t) * v**t
 
-while a pure monomial factor (c*v)**-e shifts which coefficient is wanted.
+with C the generalized binomial for a half-integer e, while a pure
+monomial factor (c*v)**-e, e an integer, shifts which coefficient is wanted.
 The engine convolves the factor series with the numerator's v-coefficients
 up to the needed order.  No polynomial gcd is ever computed: results stay
 factored, and every new denominator base is the v-free part h0 of an input
@@ -34,17 +35,31 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     NonAffineError,
+    NonRationalError,
     ParseError,
     ResidualVariableError,
     ZeroConstantError,
 )
 from .polyring import _MAX_EXP, Poly, _overflow, parse_poly
 
-Factor = Tuple[Poly, int]
+Factor = Tuple[Poly, Union[int, Fraction]]
+
+
+def _half_power(q, exp: Fraction) -> Fraction:
+    """q**exp for a rational q and a half-integer exp, from the exact root of q."""
+    root = Fraction(math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator))
+    if root * root != q:
+        raise NonRationalError(f"({q})^({exp}) is not rational")
+    return root ** exp.numerator
+
+
+def _half_binomial(top: Fraction, t: int) -> Fraction:
+    """The generalized binomial C(top, t) = top*(top-1)*...*(top-t+1)/t!."""
+    return Fraction(math.prod(top - i for i in range(t)), math.factorial(t))
 
 
 @dataclass(frozen=True)
@@ -55,23 +70,27 @@ class FactoredRational:
     den: Tuple[Factor, ...]
 
     @classmethod
-    def create(cls, num: Poly, den: Sequence[Tuple[Poly, int]] = ()) -> "FactoredRational":
+    def create(cls, num: Poly, den: Sequence[Factor] = ()) -> "FactoredRational":
         """Normalize: fold rational contents and constant factors into the
-        numerator, merge repeated bases, drop everything on a zero numerator."""
+        numerator, a half-integer power by its exact root or NonRationalError,
+        merge repeated bases, drop everything on a zero numerator."""
         scale = Fraction(1)
-        merged: Dict[Poly, int] = {}
+        merged: Dict[Poly, Union[int, Fraction]] = {}
         for base, exp in den:
-            if isinstance(exp, bool) or not isinstance(exp, int) or exp <= 0:
+            half = type(exp) is Fraction and exp.denominator == 2 and exp.numerator > 0
+            if not half and (isinstance(exp, bool) or not isinstance(exp, int) or exp <= 0):
                 raise ValueError(f"factor exponents must be positive integers, got {exp!r}")
             if base.is_zero():
                 raise ZeroDivisionError("zero polynomial in denominator")
             if base.is_constant():
-                scale /= base.constant_coeff() ** exp
+                c = base.constant_coeff()
+                scale /= _half_power(c, exp) if half else c ** exp
                 continue
             content, prim = base.content_and_primitive()
             if content != 1:
-                scale /= content ** exp
-            merged[prim] = merged.get(prim, 0) + exp
+                scale /= _half_power(content, exp) if half else content ** exp
+            exp = merged.get(prim, 0) + exp
+            merged[prim] = exp.numerator if half and exp.denominator == 1 else exp
         if scale != 1:
             num = num * scale
         if num.is_zero():
@@ -89,15 +108,12 @@ class FactoredRational:
         return frozenset(vs)
 
     def as_constant(self) -> Fraction:
-        """The value of a variable-free result."""
+        """The value of a variable-free result, which create leaves no factors."""
         leftover = self.variables()
         if leftover:
             names = ", ".join(f"x{v + 1}" for v in sorted(leftover))
             raise ResidualVariableError(f"variables remain after extraction: {names}")
-        val = self.num.constant_coeff()
-        for base, exp in self.den:
-            val /= base.constant_coeff() ** exp
-        return val
+        return self.num.constant_coeff()
 
 
 def _powers(p: Poly, lo: int, hi: int) -> List[Poly]:
@@ -140,6 +156,8 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
                 raise ZeroConstantError(
                     f"factor ({base}) contains x{v + 1} but has no x{v + 1}-free part "
                     "and is not a pure monomial")
+            if not isinstance(exp, int):
+                raise ZeroConstantError(f"({base})^({exp}) has no Laurent series in x{v + 1}")
             M += exp
             mono_scale /= h1.constant_coeff() ** exp
             continue
@@ -160,7 +178,8 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     top, last = M - min(acc, default=M), len(series_factors) - 1
     for i, (h0, h1, exp) in enumerate(series_factors if M and acc else ()):
         h0_pows, neg_h1_pows = _powers(h0, M - top, M), _powers(-h1, 0, top)
-        fac = {t: math.comb(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[top - t]
+        binom = math.comb if isinstance(exp, int) else _half_binomial
+        fac = {t: binom(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[top - t]
                for t in ([M - d for d in acc] if i == last else range(top + 1))}
         if i == last:
             prods = [p * fac[M - d] for d, p in acc.items()]

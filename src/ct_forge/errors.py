@@ -23,7 +23,7 @@ class NonAffineError(CTForgeError):
 
 class ZeroConstantError(CTForgeError):
     """A denominator factor vanishes at the origin of the extraction variable
-    but is not a pure monomial in it, so no reciprocal expansion exists."""
+    but is not a pure monomial to an integer power, so no Laurent expansion exists."""
 
 
 class ResidualVariableError(CTForgeError):

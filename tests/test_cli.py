@@ -264,6 +264,14 @@ class TestCt:
         code, out, err = run(capsys, ["ct", path])
         assert code == 2 and out == "" and "2.9" in err
 
+    def test_half_exponent(self, capsys, tmp_path):
+        # FactoredRational takes Fraction halves; JSON text states integers only
+        path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", 0.5], ["x1", 1]]})
+        code, out, err = run(capsys, ["ct", path])
+        assert (code, out) == (2, "")
+        assert err == ("error: malformed factored-rational object: "
+                       "factor exponents must be positive integers, got 0.5\n")
+
     def test_bool_exponent(self, capsys, tmp_path):
         path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", True]]})
         code, out, err = run(capsys, ["ct", path])

@@ -8,6 +8,7 @@ small instances exercised here.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,9 +146,9 @@ class TestConvergedStart:
         2N returns the means at N and 2N."""
         counts = []
 
-        def recording(f, radii, points, roots=(), coarse=False):
+        def recording(f, radii, points, coarse=False):
             counts.extend([points // 2, points] if coarse else [points])
-            return _sample(f, radii, points, roots, coarse)
+            return _sample(f, radii, points, coarse)
 
         monkeypatch.setattr(contour, "_sample", recording)
         return counts
@@ -220,15 +221,17 @@ class TestContraction:
                                  indexing="ij")
         return np.mean(integrand(x1, x2, x3))
 
-    def full_grid_mean(self, f, roots=()):
-        """f times the reciprocal square root of each root, on the whole grid."""
+    def full_grid_mean(self, f):
+        """f on the whole grid, a half power by the principal square root."""
         def at(p, xs):
             return sum(complex(coef) * math.prod(xs[v] ** e for v, e in mono)
                        for mono, coef in p.terms())
 
+        def power(vals, e):
+            return vals ** e if isinstance(e, int) else np.sqrt(vals) ** e.numerator
+
         def integrand(*xs):
-            value = at(f.num, xs) / math.prod(at(base, xs) ** e for base, e in f.den)
-            return value / math.prod(np.sqrt(at(base, xs)) for base in roots)
+            return at(f.num, xs) / math.prod(power(at(base, xs), e) for base, e in f.den)
         return self.brute_force_mean(integrand)
 
     @pytest.fixture
@@ -248,11 +251,10 @@ class TestContraction:
         for the matrix product; with it everything folds into one group."""
         den = [(parse_poly("x1"), 2), (parse_poly("1 - x2"), 1),
                (parse_poly("3 - x1 - x2"), 2), (parse_poly("2 + x1*x3"), 1),
-               (parse_poly("2 - x3 + x2"), 3)]
+               (parse_poly("2 - x3 + x2"), 3), (parse_poly("1 + x3"), Fraction(1, 2))]
         if triple:
             den.append((parse_poly("4 - x1 + x2 - x3"), 1))
         f = FactoredRational.create(parse_poly("1 + 2*x1 - x2 + x1*x2"), den)
-        roots = [parse_poly("1 + x3")]
 
         def integrand(x1, x2, x3):
             value = ((1 + 2 * x1 - x2 + x1 * x2)
@@ -261,7 +263,7 @@ class TestContraction:
             return value / (4 - x1 + x2 - x3) if triple else value
 
         expected = self.brute_force_mean(integrand)
-        value = _sample(f, self.RADII, self.POINTS, roots)
+        value = _sample(f, self.RADII, self.POINTS)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("exp", [3, 4])
@@ -281,18 +283,18 @@ class TestContraction:
         value = _sample(f, self.RADII, self.POINTS)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
 
-    @pytest.mark.parametrize("f,roots", [
-        (build_integrand(IdentitySpec.create("mm", 3)), []),
-        (build_integrand(IdentitySpec.create("thm", 3, a=2, twoc=2)), []),
+    @pytest.mark.parametrize("f", [
+        build_integrand(IdentitySpec.create("mm", 3)),
+        build_integrand(IdentitySpec.create("thm", 3, a=2, twoc=2)),
         contour._chain_forms(3, 2, 2)["y"]], ids=["mm", "thm", "chain-y"])
-    def test_pair_triangle(self, f, roots, einsum_calls):
+    def test_pair_triangle(self, f, einsum_calls):
         """The pair groups (i,j), (i,k), (j,k) of every n = 3 family
         integrand and chain form are summed by a matrix product and a dot,
         on the full grid and on its even points alike."""
-        value = _sample(f, self.RADII, self.POINTS, roots)
-        expected = self.full_grid_mean(f, roots)
+        value = _sample(f, self.RADII, self.POINTS)
+        expected = self.full_grid_mean(f)
         assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
-        assert _sample(f, self.RADII, 2 * self.POINTS, roots, coarse=True)[0] == value
+        assert _sample(f, self.RADII, 2 * self.POINTS, coarse=True)[0] == value
         assert einsum_calls == []
 
     def test_two_pair_groups_reach_einsum(self, einsum_calls):
@@ -329,9 +331,10 @@ class TestContraction:
         assert _sample(f, self.RADII, self.POINTS) == pytest.approx(expected, abs=1e-14)
 
     def test_root_leaving_right_half_plane(self):
-        f = FactoredRational.create(Poly.one(), [(parse_poly("2 - x1"), 1)])
+        f = FactoredRational.create(Poly.one(), [(parse_poly("2 - x1"), 1),
+                                                 (parse_poly("10*x2 - 1"), Fraction(1, 2))])
         with pytest.raises(ConfigError, match="right half-plane"):
-            _sample(f, self.RADII, self.POINTS, [parse_poly("10*x2 - 1")])
+            _sample(f, self.RADII, self.POINTS)
 
     def test_past_float64_is_not_finite(self):
         """No sample warns (pytest makes a RuntimeWarning an error) or raises
@@ -453,9 +456,19 @@ class TestChain:
         origin = _origin_radii(n, cfg.epsilon)
         for a in (1, 2, 3):
             for twoc in (1, 2):
-                alone = {form: _sample(f, _chosen_radii(f, origin, roots), cfg.points, roots)
-                         for form, (f, roots) in contour._chain_forms(n, a, twoc).items()}
+                alone = {form: _sample(f, _chosen_radii(f, origin), cfg.points)
+                         for form, f in contour._chain_forms(n, a, twoc).items()}
                 assert chain_values(n, a, twoc, cfg) == alone, (a, twoc)
+
+    @pytest.mark.parametrize("n,a,twoc", [
+        (n, a, twoc) for n in (1, 2, 3) for a in (1, 2, 3) for twoc in (1, 2)]
+        + [(4, 1, 1), (4, 2, 1), (4, 2, 2)])
+    def test_exact_forms(self, n, a, twoc):
+        """The exact engine takes each form's half powers too, and every
+        form's iterated constant term is the closed form."""
+        forms = contour._chain_forms(n, a, twoc)
+        assert {form: ct_iterated(f) for form, f in forms.items()} == dict.fromkeys(
+            "xzyt", thm_rhs(n, a, twoc))
 
     def test_config_errors(self):
         cfg = QuadratureConfig(0.005, 64)

@@ -5,6 +5,7 @@ oracle in tests/oracle_series.py, which shares no code with the engine.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from ct_forge.ctengine import (
 from ct_forge.errors import (
     ExponentOverflowError,
     NonAffineError,
+    NonRationalError,
     ParseError,
     ResidualVariableError,
     ZeroConstantError,
@@ -31,6 +33,7 @@ from ct_forge.polyring import Poly
 
 x1, x2 = Poly.var(0), Poly.var(1)
 one = Poly.one()
+half = Fraction(1, 2)
 
 
 def rational(num, den=()):
@@ -153,6 +156,49 @@ class TestCtVar:
     def test_odd_monomial_power_kills_even_series(self):
         # x1^-1 alone: no x1^0 term anywhere
         assert ct_var(rational(one, [(x1, 1)]), 0).is_zero()
+
+
+class TestHalfExponents:
+    """Exponents may be half-integers, as in the reciprocal square roots of
+    the substitution chain; integral exponents stay ints."""
+
+    def test_merged_halves(self):
+        f = rational(one, [(one - x1, half), (one - x1, half)])
+        assert f.den == ((one - x1, 1),) and type(f.den[0][1]) is int
+        g = rational(one, [(one - x1, half), (one - x1, 1), (one - x2, half)])
+        assert g.den == ((one - x1, Fraction(3, 2)), (one - x2, half))
+
+    @pytest.mark.parametrize("exp", [Fraction(1, 3), Fraction(-1, 2), Fraction(2), 0.5])
+    def test_other_exponents_refused(self, exp):
+        with pytest.raises(ValueError, match="must be positive integers, got"):
+            rational(one, [(one - x1, exp)])
+
+    def test_exact_root_of_content_and_constant(self):
+        """(4 - 4*x1)**(1/2) folds its content 4 as an exact 2."""
+        f = rational(one, [(x1, 1), (4 - 4 * x1, half), (Poly.constant(9), Fraction(3, 2))])
+        assert f.num == Fraction(1, 54)
+        assert ct_iterated(rational(one, [(x1, 1), (4 - 4 * x1, half)])) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("base", [2 - 2 * x1, Poly.constant(2), Poly.constant(-4),
+                                      Poly.constant(Fraction(1, 2))])
+    def test_irrational_root_refused(self, base):
+        with pytest.raises(NonRationalError, match=r"\^\(1/2\) is not rational"):
+            rational(one, [(base, half), (one - x2, 1)])
+
+    def test_half_power_of_monomial_refused(self):
+        """c*v to a half power has no Laurent series in v."""
+        f = rational(one, [(x1, half), (one - x1, 1)])
+        with pytest.raises(ZeroConstantError,
+                           match=r"^\(x1\)\^\(1/2\) has no Laurent series in x1$"):
+            ct_var(f, 0)
+
+    @pytest.mark.parametrize("t", range(12))
+    def test_central_binomials(self, t):
+        """CT[x1**-t (1 - x1)**(-1/2)] = C(2t, t) / 4**t, the coefficients of
+        the binomial series, computed without the engine's binomials."""
+        den = [(x1, t)] if t else []
+        f = rational(one, den + [(one - x1, half)])
+        assert ct_iterated(f) == Fraction(math.comb(2 * t, t), 4 ** t)
 
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
