@@ -9,8 +9,8 @@ Subcommands:
     gamma-check  exact Gamma-product identities (Catalan form and 2^n ratio)
 
 Exit codes: 0 verified/agreed, 1 computed but mismatched or unconverged,
-2 usage or engine errors.  CT_FORGE_MAX_N (default 5) bounds the number of
-variables accepted for exact computations.
+2 usage or engine errors, among them an elimination step past the exact
+engine's per-step work budget (errors.BudgetError).
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ from .identities import (
 )
 
 CHAIN_TOL = 1e-5
-
-
-def _max_n() -> int:
-    raw = os.environ.get("CT_FORGE_MAX_N", "5")
-    try:
-        return int(raw)
-    except ValueError:
-        raise CTForgeError(f"CT_FORGE_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _parse_order(text: Optional[str]) -> Optional[Tuple[int, ...]]:
@@ -96,12 +88,11 @@ def _cmd_verify(args) -> int:
             entries = json.load(fh)
         if not isinstance(entries, list):
             raise CTForgeError("--grid file must hold a JSON list of identity specs")
+        if not entries:
+            raise CTForgeError("--grid file lists no specs")
         specs = [spec_from_json(entry) for entry in entries]
     else:
         specs = [_spec_from_args(args)]
-    for spec in specs:
-        if spec.n > _max_n():
-            raise CTForgeError(f"n={spec.n} exceeds CT_FORGE_MAX_N={_max_n()}")
     order = _parse_order(args.order)
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
@@ -120,9 +111,6 @@ def _cmd_verify(args) -> int:
 def _cmd_ct(args) -> int:
     with open(args.spec_file, "r", encoding="utf-8") as fh:
         rational = factored_loads(fh.read())
-    n_vars = len(rational.variables())
-    if n_vars > _max_n():
-        raise CTForgeError(f"{n_vars} variables exceed CT_FORGE_MAX_N={_max_n()}")
     value = ct_iterated(rational, _parse_order(args.order))
     if args.format == "json":
         print(json.dumps({"ct": str(value)}))

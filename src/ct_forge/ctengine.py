@@ -18,7 +18,8 @@ monomial factor (c*v)**-e, e an integer, shifts which coefficient is wanted.
 The engine convolves the factor series with the numerator's v-coefficients
 up to the needed order.  No polynomial gcd is ever computed: results stay
 factored, and every new denominator base is the v-free part h0 of an input
-base, which keeps all bases affine per variable.
+base, which keeps all bases affine per variable.  Each step counts its term
+products before it forms them and raises BudgetError past _STEP_BUDGET.
 
 FactoredRational.create keeps the bases in one canonical order, read off
 their packed terms by Poly.order_key, not off the rendered text: bases of
@@ -35,9 +36,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    BudgetError,
     NonAffineError,
     NonRationalError,
     ParseError,
@@ -47,6 +50,8 @@ from .errors import (
 from .polyring import _MAX_EXP, Poly, _overflow, parse_poly
 
 Factor = Tuple[Poly, Union[int, Fraction]]
+
+_STEP_BUDGET = 2**25  # term products per ct_var step; mm n=7's dearest step forms 12,128,512
 
 
 def _half_power(q, exp: Fraction) -> Fraction:
@@ -116,14 +121,6 @@ class FactoredRational:
         return self.num.constant_coeff()
 
 
-def _powers(p: Poly, lo: int, hi: int) -> List[Poly]:
-    """p**lo .. p**hi, each after the first from the one before."""
-    out = [p ** lo]
-    for _ in range(hi - lo):
-        out.append(out[-1] * p)
-    return out
-
-
 def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     """Constant term of f in variable v, exactly.
 
@@ -132,7 +129,8 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     coefficient is wanted, and affine factors with nonzero v-free part h0
     expand as geometric series.  The result is the coefficient of v**M, M
     the total monomial shift, in the product of those series with the
-    numerator, written over denominator bases h0**(exp+M).
+    numerator, written over denominator bases h0**(exp+M).  BudgetError
+    when that takes more than _STEP_BUDGET term products, before forming them.
     """
     if f.is_zero():
         return f
@@ -176,18 +174,28 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     acc = {d: p for d, p in f.num.coeffs_in(v).items() if d <= M}
     out_den = passthrough + [(h0, exp + M) for h0, _, exp in series_factors]
     top, last = M - min(acc, default=M), len(series_factors) - 1
+    work = 0  # term products formed in this step, each counted before it is formed
+    over = f"eliminating x{v + 1} needs over {_STEP_BUDGET} term products"
     for i, (h0, h1, exp) in enumerate(series_factors if M and acc else ()):
-        h0_pows, neg_h1_pows = _powers(h0, M - top, M), _powers(-h1, 0, top)
+        # h**0 .. h**e, each from the one before, take k * C(e+k-1, k) products at most
+        k0, k1 = len(h0), len(h1)  # the k of h0 and of -h1
+        work += k0 * math.comb(M + k0 - 1, k0) + k1 * math.comb(top + k1 - 1, k1)
+        if work > _STEP_BUDGET:
+            raise BudgetError(over)
+        h0_pows = list(accumulate(repeat(h0, M), Poly.__mul__, initial=Poly.one()))
+        neg_h1_pows = list(accumulate(repeat(-h1, top), Poly.__mul__, initial=Poly.one()))
         binom = math.comb if isinstance(exp, int) else _half_binomial
-        fac = {t: binom(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[top - t]
-               for t in ([M - d for d in acc] if i == last else range(top + 1))}
-        if i == last:
-            prods = [p * fac[M - d] for d, p in acc.items()]
-            acc = {M: sum(prods[1:], prods[0])}
-            break
+        ts = [M - d for d in acc] if i == last else range(top + 1)
+        work += sum(len(neg_h1_pows[t]) * len(h0_pows[M - t]) for t in ts)
+        if work > _STEP_BUDGET:
+            raise BudgetError(over)
+        fac = {t: binom(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[M - t] for t in ts}
         new_acc: Dict[int, Poly] = {}
         for d, p in acc.items():
-            for t in range(M + 1 - d):
+            for t in [M - d] if i == last else range(M + 1 - d):
+                work += len(p) * len(fac[t])
+                if work > _STEP_BUDGET:
+                    raise BudgetError(over)
                 q = p * fac[t]
                 new_acc[d + t] = new_acc[d + t] + q if d + t in new_acc else q
         acc = new_acc

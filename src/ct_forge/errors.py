@@ -40,3 +40,7 @@ class ParseError(CTForgeError, ValueError):
 
 class ExponentOverflowError(CTForgeError, OverflowError):
     """An exponent outgrew the fixed-width field of a packed monomial."""
+
+
+class BudgetError(CTForgeError):
+    """An elimination step needs more term products than its work budget."""

@@ -7,6 +7,7 @@ import re
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,15 +104,12 @@ class TestVerify:
                                       "--order", order])
         assert (code, out, err) == (2, "", BAD_ORDER_ERRORS[order])
 
-    def test_max_n_guard(self, capsys, monkeypatch):
-        monkeypatch.setenv("CT_FORGE_MAX_N", "2")
-        code, _, err = run(capsys, ["verify", "--family", "mm", "--n", "3"])
-        assert code == 2 and "CT_FORGE_MAX_N" in err
-
-    def test_bad_max_n_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("CT_FORGE_MAX_N", "many")
-        code, _, err = run(capsys, ["verify", "--family", "mm", "--n", "2"])
-        assert code == 2
+    def test_no_variable_count_cap(self, capsys):
+        # n is not capped; the exact engine's per-step work budget bounds the work
+        code, out, err = run(capsys, ["verify", "--family", "mm", "--n", "6",
+                                      "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["lhs"] == "53337309063413760"
 
 
 class TestGrid:
@@ -146,12 +144,13 @@ class TestGrid:
         code, _, err = run(capsys, ["verify", "--grid", str(grid_file)])
         assert code == 2
 
-    def test_grid_respects_max_n(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("CT_FORGE_MAX_N", "2")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_empty_grid(self, capsys, tmp_path, jobs):
+        # an empty grid is refused, not reported as every instance verifying
         grid_file = tmp_path / "grid.json"
-        grid_file.write_text(json.dumps([{"family": "CRY", "n": 3}]))
-        code, _, err = run(capsys, ["verify", "--grid", str(grid_file)])
-        assert code == 2
+        grid_file.write_text("[]")
+        code, out, err = run(capsys, ["verify", "--grid", str(grid_file), "--jobs", jobs])
+        assert (code, out, err) == (2, "", "error: --grid file lists no specs\n")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one(self, capsys, tmp_path, jobs):
@@ -306,11 +305,22 @@ class TestCt:
         code, out, _ = run(capsys, ["ct", path])
         assert (code, out) == (0, "1\n")
 
-    def test_too_many_variables(self, capsys, tmp_path):
+    def test_six_variables(self, capsys, tmp_path):
         den = [[f"x{i}", 1] for i in range(1, 7)]
         path = self.write(tmp_path, {"num": "1", "den": den})
-        code, _, err = run(capsys, ["ct", path])
-        assert code == 2 and "CT_FORGE_MAX_N" in err
+        code, out, _ = run(capsys, ["ct", path])
+        assert (code, out) == (0, "0\n")
+
+    def test_step_past_work_budget(self, capsys, tmp_path):
+        # x1's step would raise 1 - x2 - x3 - x4 - x5 to the 60th power, about
+        # 3.8e7 term products: refused before any of them is formed
+        den = [["x1", 60], ["1 - x1 - x2 - x3 - x4 - x5", 1]]
+        path = self.write(tmp_path, {"num": "1", "den": den})
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["ct", path])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: eliminating x1 needs over 33554432 term products\n"
 
     def test_malformed_inputs_never_crash(self, capsys, tmp_path):
         """Exit-code contract over junk input: always 2, never a traceback."""

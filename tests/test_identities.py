@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 import oracle_series
+from ct_forge import ctengine
 from ct_forge.ctengine import ct_iterated, ct_var
-from ct_forge.errors import DomainError, ParseError
+from ct_forge.errors import BudgetError, DomainError, ParseError
 from ct_forge.identities import (
     IdentityFamily,
     IdentitySpec,
@@ -220,6 +221,43 @@ class TestVerify:
     def test_frontier_instances(self, family, n, kwargs, lhs):
         report = verify(IdentitySpec.create(family, n, **kwargs))
         assert report.equal and report.lhs == lhs
+
+    def test_step_budget_bounds_the_library(self, monkeypatch):
+        spec = IdentitySpec.create("mm", 3)
+        assert verify(spec).lhs == 5120
+        monkeypatch.setattr(ctengine, "_STEP_BUDGET", 100)
+        with pytest.raises(BudgetError, match="^eliminating x2 needs over 100 term products$"):
+            verify(spec)
+
+    @pytest.mark.parametrize("family,n,kwargs", [
+        ("mm", 3, {}),
+        ("cry", 3, {}),
+        ("thm", 3, {"a": 2, "twoc": 2}),
+        ("morris", 3, {"a": 2, "b": 1, "twoc": 2}),
+    ])
+    def test_step_budget_counts_the_products_formed(self, monkeypatch, family, n, kwargs):
+        # on linear bases the count is exact: a step answers at a budget of
+        # exactly the term products it forms, and is refused at one less
+        formed, mul, budget = [0], Poly.__mul__, ctengine._STEP_BUDGET
+
+        def counting_mul(a, b):
+            if isinstance(b, Poly):
+                formed[0] += len(a) * len(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        f = build_integrand(IdentitySpec.create(family, n, **kwargs))
+        for v in range(n):
+            formed[0] = 0
+            step, products = ct_var(f, v), formed[0]
+            monkeypatch.setattr(ctengine, "_STEP_BUDGET", products)
+            assert ct_var(f, v) == step
+            if products:  # a step with M = 0 forms none
+                monkeypatch.setattr(ctengine, "_STEP_BUDGET", products - 1)
+                with pytest.raises(BudgetError, match=f"^eliminating x{v + 1} "):
+                    ct_var(f, v)
+            monkeypatch.setattr(ctengine, "_STEP_BUDGET", budget)
+            f = step
 
     def test_series_oracle_agreement_n2(self):
         # every family at n = 2 against the independent series oracle

@@ -4,7 +4,8 @@ Every top-level import must be relative (the package itself), a
 standard-library module, or numpy; imports inside functions are not
 checked.  Every public top-level function and class, and every public
 method of a public class, must be used by the package itself, not only by
-tests; a method counts as used when the package reads its name.
+tests; a method counts as used when the package reads its name.  No module
+reads an environment variable: limits are constants or arguments.
 """
 
 import ast
@@ -55,6 +56,15 @@ def test_every_public_name_is_used_in_the_package():
 @pytest.mark.parametrize("method", PUBLIC_METHODS)
 def test_every_public_method_is_used_in_the_package(method):
     assert method.split(".")[1] in USED
+
+
+def test_no_environment_variable_is_read():
+    reads = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and {"environ", "getenv"} & {alias.name for alias in node.names})]
+    assert reads == []
 
 
 def test_sources_found():
