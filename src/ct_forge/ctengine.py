@@ -16,18 +16,22 @@ its reciprocal expands as a geometric series
 with C the generalized binomial for a half-integer e, while a pure
 monomial factor (c*v)**-e, e an integer, shifts which coefficient is wanted.
 The engine convolves the factor series with the numerator's v-coefficients
-up to the needed order.  No polynomial gcd is ever computed: results stay
-factored, and every new denominator base is the v-free part h0 of an input
-base, which keeps all bases affine per variable.  Each step counts its term
-products before it forms them and raises BudgetError past _STEP_BUDGET.
+up to the needed order, one polyring.poly_dot per coefficient.  No polynomial
+gcd is ever computed: results stay factored, and every new denominator base
+is the v-free part h0 of an input base, which keeps all bases affine per
+variable.  Each step counts its term products, a factor's whole convolution
+before its first one, and raises BudgetError past _STEP_BUDGET.
 
-FactoredRational.create keeps the bases in one canonical order, read off
-their packed terms by Poly.order_key, not off the rendered text: bases of
-several terms without a constant term first, then those with one, then
-single terms, each group by its sorted (packed monomial, coefficient)
-pairs.  ct_var walks the factors in that order, so its last series factor,
-the one that contributes only a dot product, is the last affine factor in
-it.  On the family integrands up to n = 9 the order is that of the text.
+FactoredRational.create turns a base b of integer exponent e into -b, with
+(-1)**e in the numerator, unless its constant term, or else its highest
+packed monomial's coefficient, is positive; half powers keep their sign.
+It keeps the bases in one canonical order, read off their packed terms by
+Poly.order_key, not off the rendered text: bases of several terms without a
+constant term first, then those with one, then single terms, each group by
+its sorted (packed monomial, coefficient) pairs.  ct_var walks the factors in
+that order, so its last series factor, the one that contributes only a dot
+product, is the last affine factor in it.  On the family integrands up to
+n = 9 the order is that of the text.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .errors import (
     ResidualVariableError,
     ZeroConstantError,
 )
-from .polyring import _MAX_EXP, Poly, _overflow, parse_poly
+from .polyring import _MAX_EXP, Poly, _overflow, parse_poly, poly_dot
 
 Factor = Tuple[Poly, Union[int, Fraction]]
 
@@ -78,7 +82,7 @@ class FactoredRational:
     def create(cls, num: Poly, den: Sequence[Factor] = ()) -> "FactoredRational":
         """Normalize: fold rational contents and constant factors into the
         numerator, a half-integer power by its exact root or NonRationalError,
-        merge repeated bases, drop everything on a zero numerator."""
+        merge bases equal up to sign, drop everything on a zero numerator."""
         scale = Fraction(1)
         merged: Dict[Poly, Union[int, Fraction]] = {}
         for base, exp in den:
@@ -92,6 +96,8 @@ class FactoredRational:
                 scale /= _half_power(c, exp) if half else c ** exp
                 continue
             content, prim = base.content_and_primitive()
+            if not half and prim.canonical_sign() < 0:  # (-b)**exp = (-1)**exp * b**exp
+                content, prim = -content, -prim
             if content != 1:
                 scale /= _half_power(content, exp) if half else content ** exp
             exp = merged.get(prim, 0) + exp
@@ -174,31 +180,28 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     acc = {d: p for d, p in f.num.coeffs_in(v).items() if d <= M}
     out_den = passthrough + [(h0, exp + M) for h0, _, exp in series_factors]
     top, last = M - min(acc, default=M), len(series_factors) - 1
-    work = 0  # term products formed in this step, each counted before it is formed
-    over = f"eliminating x{v + 1} needs over {_STEP_BUDGET} term products"
+    work = 0  # term products formed in this step, each group counted before it is formed
+
+    def spend(products: int) -> None:
+        nonlocal work
+        work += products
+        if work > _STEP_BUDGET:
+            raise BudgetError(f"eliminating x{v + 1} needs over {_STEP_BUDGET} term products")
+
     for i, (h0, h1, exp) in enumerate(series_factors if M and acc else ()):
         # h**0 .. h**e, each from the one before, take k * C(e+k-1, k) products at most
         k0, k1 = len(h0), len(h1)  # the k of h0 and of -h1
-        work += k0 * math.comb(M + k0 - 1, k0) + k1 * math.comb(top + k1 - 1, k1)
-        if work > _STEP_BUDGET:
-            raise BudgetError(over)
+        spend(k0 * math.comb(M + k0 - 1, k0) + k1 * math.comb(top + k1 - 1, k1))
         h0_pows = list(accumulate(repeat(h0, M), Poly.__mul__, initial=Poly.one()))
         neg_h1_pows = list(accumulate(repeat(-h1, top), Poly.__mul__, initial=Poly.one()))
         binom = math.comb if isinstance(exp, int) else _half_binomial
         ts = [M - d for d in acc] if i == last else range(top + 1)
-        work += sum(len(neg_h1_pows[t]) * len(h0_pows[M - t]) for t in ts)
-        if work > _STEP_BUDGET:
-            raise BudgetError(over)
+        spend(sum(len(neg_h1_pows[t]) * len(h0_pows[M - t]) for t in ts))
         fac = {t: binom(exp + t - 1, t) * neg_h1_pows[t] * h0_pows[M - t] for t in ts}
-        new_acc: Dict[int, Poly] = {}
-        for d, p in acc.items():
-            for t in [M - d] if i == last else range(M + 1 - d):
-                work += len(p) * len(fac[t])
-                if work > _STEP_BUDGET:
-                    raise BudgetError(over)
-                q = p * fac[t]
-                new_acc[d + t] = new_acc[d + t] + q if d + t in new_acc else q
-        acc = new_acc
+        sums = {s: [(p, fac[s - d]) for d, p in acc.items() if d <= s]
+                for s in ([M] if i == last else range(M - top, M + 1))}
+        spend(sum(len(p) * len(q) for pairs in sums.values() for p, q in pairs))
+        acc = {s: poly_dot(pairs) for s, pairs in sums.items()}
 
     target = acc.get(M, Poly.zero()) * mono_scale
     return FactoredRational.create(target, out_den)

@@ -14,6 +14,9 @@ product is one integer addition, and a degree or coefficient in one
 variable is a shift and a mask.  The top bit of each field is a guard.
 Exponents stay below it, so a sum of two exponents never carries into the
 next field, and an exponent that reaches it raises ExponentOverflowError.
+Every product runs one term loop, _products, into one int dict: a one-term
+operand makes it a shift, and poly_dot(pairs) adds all of sum(p * q) into one
+dict, each pair scaled by its content over the contents' lcm.
 
 At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
 with positive exponents, the constant monomial being the empty tuple:
@@ -107,6 +110,37 @@ def _from_rationals(terms: Dict[int, Rational]):
     den = math.lcm(*(c.denominator for c in terms.values()))
     return _primitive({m: c.numerator * (den // c.denominator) for m, c in terms.items()},
                       Fraction(1, den))
+
+
+def _products(pairs) -> Dict[int, int]:
+    """sum(k * a * b) over the (a, b, k) in pairs, int term dicts, in one dict; a lone
+    product with a one-term operand is a shift.  ExponentOverflowError at a guard bit."""
+    a, b, k = pairs[0]
+    if len(a) == 1:
+        a, b = b, a
+    out = {}
+    if len(pairs) == 1 and len(b) == 1:
+        (m0, c0), = b.items()
+        if m0 == 0 and c0 * k == 1:
+            return a
+        for m, c in a.items():
+            out[m + m0] = c * c0 * k
+    else:
+        get = out.get
+        for a, b, k in pairs:
+            for m1, c1 in a.items():
+                c1 *= k
+                for m2, c2 in b.items():
+                    m = m1 + m2
+                    s = get(m, 0) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+    hit = reduce(operator.or_, out, 0) & _GUARDS  # where a sum reached a guard bit
+    if hit:
+        raise _overflow(((hit & -hit).bit_length() - 1) // _BITS)
+    return out
 
 
 class Poly:
@@ -246,20 +280,8 @@ class Poly:
             return Poly._raw(terms, _rational(self._content * abs(other)))
         if not self._terms or not other._terms:
             return Poly.zero()
-        out: Dict[int, int] = {}
-        get = out.get
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1 + m2
-                s = get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        hit = reduce(operator.or_, out, 0) & _GUARDS  # where a sum reached a guard bit
-        if hit:
-            raise _overflow(((hit & -hit).bit_length() - 1) // _BITS)
-        return Poly._raw(out, _rational(self._content * other._content))
+        return Poly._raw(_products([(self._terms, other._terms, 1)]),
+                         _rational(self._content * other._content))
 
     __rmul__ = __mul__
 
@@ -294,6 +316,10 @@ class Poly:
             return 1, self
         return self._content, Poly._raw(self._terms, 1)
 
+    def canonical_sign(self) -> int:
+        """The sign of the constant term, else of the highest packed monomial's."""
+        return 1 if (self._terms.get(0) or self._terms[max(self._terms)]) > 0 else -1
+
     def order_key(self) -> tuple:
         """The key that orders a factored rational's primitive bases: bases
         of several terms first, those without a constant term before those
@@ -326,6 +352,17 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def poly_dot(pairs) -> Poly:
+    """sum(p * q for p, q in pairs), every term product added into one dict."""
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else Poly.zero()
+    contents = [p._content * q._content for p, q in pairs]
+    den = math.lcm(*[c.denominator for c in contents])
+    out = _products([(p._terms, q._terms, c.numerator * (den // c.denominator))
+                     for (p, q), c in zip(pairs, contents)])
+    return Poly._raw(*_primitive(out, Fraction(1, den) if den > 1 else 1))
 
 
 def _coerce(value) -> "Poly":

@@ -252,6 +252,35 @@ class TestCt:
         assert err == ("error: factor (x2 - x1^2) has degree 2 in x1; "
                        "constant-term extraction needs affine factors\n")
 
+    @pytest.mark.parametrize("payload,order,value", [
+        ({"num": "x2", "den": [["x1 - x2", 1], ["x2 - x1", 2], ["1 - x1", 2], ["1 - x2", 3]]},
+         None, "-6"),
+        ({"num": "1 + x1*x2 - 3*x2^2", "den": [["x1 - 1", 3], ["x2", 2], ["2*x1 - 2*x2 - 2", 1],
+                                               ["-1 + x2", 2], ["x1 - x2", 2]]},
+         None, "-3/2"),
+        ({"num": "1 + x1*x2 - 3*x2^2", "den": [["x1 - 1", 3], ["x2", 2], ["2*x1 - 2*x2 - 2", 1],
+                                               ["-1 + x2", 2], ["x1 - x2", 2]]},
+         "2,1", "129/2"),
+        ({"num": "1 - x2*x3", "den": [["x1", 2], ["x2", 1], ["x3", 2], ["x1 - x3", 2], ["x1 - x2", 1],
+                                      ["x1 - 1", 1], ["x2 - 1", 2], ["x3 - 1", 2], ["x1 + x2 - 1", 1]]},
+         None, "-482"),
+        ({"num": "1 - x2*x3", "den": [["x1", 2], ["x2", 1], ["x3", 2], ["x1 - x3", 2], ["x1 - x2", 1],
+                                      ["x1 - 1", 1], ["x2 - 1", 2], ["x3 - 1", 2], ["x1 + x2 - 1", 1]]},
+         "3,2,1", "477"),
+    ])
+    def test_bases_of_either_sign(self, capsys, tmp_path, payload, order, value):
+        # bases stored up to sign give the values they gave as written
+        path = self.write(tmp_path, payload)
+        code, out, _ = run(capsys, ["ct", path] + (["--order", order] if order else []))
+        assert code == 0 and out == value + "\n"
+
+    def test_error_names_the_base_with_its_canonical_sign(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"num": "1", "den": [["x1^2 - 1", 1]]})
+        code, out, err = run(capsys, ["ct", path])
+        assert (code, out) == (2, "")
+        assert err == ("error: factor (1 - x1^2) has degree 2 in x1; "
+                       "constant-term extraction needs affine factors\n")
+
     @pytest.mark.parametrize("order", ["1,1", "0,0", "0,1", "x"])
     def test_bad_order(self, capsys, tmp_path, order):
         path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", 2], ["1 - x2", 2]]})

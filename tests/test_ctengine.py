@@ -48,9 +48,9 @@ class TestFactoredRational:
 
     def test_content_moves_to_numerator(self):
         f = rational(one, [(2 * x1 - 2, 1)])
-        # content 2 folds out; the primitive base keeps its sign pattern
-        assert f.num == Fraction(1, 2)
-        assert f.den == ((-one + x1, 1),)
+        # content -2 folds out, leaving the base with a positive constant term
+        assert f.num == Fraction(-1, 2)
+        assert f.den == ((one - x1, 1),)
 
     def test_repeated_bases_merge(self):
         f = rational(one, [(one - x1, 1), (one - x1, 2)])
@@ -112,8 +112,30 @@ class TestFactorOrder:
         # several terms without a constant, then with one, then single terms
         f = rational(one, [(x1, 1), (one - x2, 1), (x1 * x2, 1), (x2 - x1, 1),
                            (one - x1, 1), (x1 - x2, 1)])
-        assert [str(b) for b, _ in f.den] == [
-            "-x1 + x2", "x1 - x2", "1 - x1", "1 - x2", "x1", "x1*x2"]
+        # x1 - x2 is -(x2 - x1), so the two merge
+        assert [(str(b), e) for b, e in f.den] == [
+            ("-x1 + x2", 2), ("1 - x1", 1), ("1 - x2", 1), ("x1", 1), ("x1*x2", 1)]
+        assert f.num == -1
+
+
+class TestCanonicalSign:
+    """create stores an integer-power base with a positive constant term, or
+    else a positive coefficient on its highest packed monomial, and moves
+    (-1)**exp into the numerator; a half power keeps its base's sign."""
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4])
+    def test_opposite_bases_merge(self, e):
+        f = rational(one + x1, [(x1 - x2, e), (x2 - x1, 1)])
+        assert f.den == ((x2 - x1, e + 1),)
+        assert f.num == (-1) ** e * (one + x1)
+        g = rational(one, [(x1 - 1, e), (2 * x2 - 2 * x1, 1)])
+        assert g.den == ((x2 - x1, 1), (one - x1, e))
+        assert g.num == Fraction((-1) ** e, 2)
+
+    def test_half_power_keeps_its_sign(self):
+        f = rational(one, [(x1 - x2, half), (x1 - 1, half), (x1 - x2, 1)])
+        assert f.den == ((x2 - x1, 1), (x1 - x2, half), (x1 - 1, half))
+        assert f.num == -1
 
 
 class TestCtVar:

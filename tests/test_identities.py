@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_series
-from ct_forge import ctengine
+from ct_forge import ctengine, polyring
 from ct_forge.ctengine import ct_iterated, ct_var
 from ct_forge.errors import BudgetError, DomainError, ParseError
 from ct_forge.identities import (
@@ -26,6 +26,12 @@ from ct_forge.polyring import Poly
 
 x1 = Poly.var(0)
 one = Poly.one()
+_N3_SPECS = pytest.mark.parametrize("family,n,kwargs", [
+    ("mm", 3, {}),
+    ("cry", 3, {}),
+    ("thm", 3, {"a": 2, "twoc": 2}),
+    ("morris", 3, {"a": 2, "b": 1, "twoc": 2}),
+])
 
 # Denominators of build_integrand at the family defaults, written out by
 # hand, in the order FactoredRational.create sorts them.  At their
@@ -229,23 +235,18 @@ class TestVerify:
         with pytest.raises(BudgetError, match="^eliminating x2 needs over 100 term products$"):
             verify(spec)
 
-    @pytest.mark.parametrize("family,n,kwargs", [
-        ("mm", 3, {}),
-        ("cry", 3, {}),
-        ("thm", 3, {"a": 2, "twoc": 2}),
-        ("morris", 3, {"a": 2, "b": 1, "twoc": 2}),
-    ])
+    @_N3_SPECS
     def test_step_budget_counts_the_products_formed(self, monkeypatch, family, n, kwargs):
         # on linear bases the count is exact: a step answers at a budget of
-        # exactly the term products it forms, and is refused at one less
-        formed, mul, budget = [0], Poly.__mul__, ctengine._STEP_BUDGET
+        # exactly the term products it forms, and is refused at one less;
+        # every product, a shift or a fused sum too, runs the one term loop
+        formed, loop, budget = [0], polyring._products, ctengine._STEP_BUDGET
 
-        def counting_mul(a, b):
-            if isinstance(b, Poly):
-                formed[0] += len(a) * len(b)
-            return mul(a, b)
+        def counting_products(pairs):
+            formed[0] += sum(len(a) * len(b) for a, b, _ in pairs)
+            return loop(pairs)
 
-        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        monkeypatch.setattr(polyring, "_products", counting_products)
         f = build_integrand(IdentitySpec.create(family, n, **kwargs))
         for v in range(n):
             formed[0] = 0
@@ -258,6 +259,46 @@ class TestVerify:
                     ct_var(f, v)
             monkeypatch.setattr(ctengine, "_STEP_BUDGET", budget)
             f = step
+
+    @_N3_SPECS
+    def test_refused_factor_forms_none_of_its_convolution(self, monkeypatch, family, n, kwargs):
+        # a factor's whole convolution is counted before its first product:
+        # at a budget one short of it, the step forms only what came before
+        log, products, dot = [], polyring._products, ctengine.poly_dot
+        in_dot = [False]
+
+        def counting_products(pairs):
+            log.append((in_dot[0], sum(len(a) * len(b) for a, b, _ in pairs)))
+            return products(pairs)
+
+        def marked_dot(pairs):
+            in_dot[0] = True
+            try:
+                return dot(pairs)
+            finally:
+                in_dot[0] = False
+
+        monkeypatch.setattr(polyring, "_products", counting_products)
+        monkeypatch.setattr(ctengine, "poly_dot", marked_dot)
+        f = build_integrand(IdentitySpec.create(family, n, **kwargs))
+        budget, refused = ctengine._STEP_BUDGET, 0
+        for v in range(n):
+            log.clear()
+            step, full = ct_var(f, v), list(log)
+            # each run of fused-sum products is one factor's convolution
+            starts = [j for j, (d, _) in enumerate(full) if d and not (j and full[j - 1][0])]
+            for j in starts:
+                end = next((k for k in range(j, len(full)) if not full[k][0]), len(full))
+                before, whole = sum(c for _, c in full[:j]), sum(c for _, c in full[j:end])
+                monkeypatch.setattr(ctengine, "_STEP_BUDGET", before + whole - 1)
+                log.clear()
+                with pytest.raises(BudgetError):
+                    ct_var(f, v)
+                assert log == full[:j]
+                refused += 1
+            monkeypatch.setattr(ctengine, "_STEP_BUDGET", budget)
+            f = step
+        assert refused
 
     def test_series_oracle_agreement_n2(self):
         # every family at n = 2 against the independent series oracle

@@ -3,12 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poly_reference as ref
 from ct_forge.errors import ExponentOverflowError, ParseError
-from ct_forge.polyring import Poly, parse_poly
+from ct_forge.polyring import Poly, parse_poly, poly_dot
 
 x1, x2, x3 = Poly.var(0), Poly.var(1), Poly.var(2)
 
@@ -34,6 +34,21 @@ ref_polys = st.dictionaries(
     st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool),
     max_size=6,
 )
+# One-term reference polynomials: +-1, +-monomials and rational multiples.
+ref_one_terms = st.builds(
+    lambda mono, c: {mono: c}, ref_monomials,
+    st.sampled_from([Fraction(1), Fraction(-1)])
+    | st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool))
+
+# A reference polynomial with a rational content, for the one-term examples.
+rational_poly = {(): Fraction(1), ((0, 1),): Fraction(-2), ((1, 1), (2, 1)): Fraction(1, 3)}
+
+
+def ref_dot(pairs) -> dict:
+    out: dict = {}
+    for a, b in pairs:
+        out = ref.add(out, ref.mul(a, b))
+    return out
 
 
 class TestConstruction:
@@ -136,6 +151,47 @@ class TestAgainstReference:
             assert same == p and hash(same) == hash(p)
 
 
+class TestProductPaths:
+    """The one-term shift and the fused sum of products against the reference."""
+
+    @given(ref_polys, ref_one_terms)
+    @settings(max_examples=40, derandomize=True)
+    @example(rational_poly, {(): Fraction(1)})
+    @example(rational_poly, {(): Fraction(-1)})
+    @example(rational_poly, {((1, 1),): Fraction(-1)})
+    @example(rational_poly, {((0, 1), (2, 2)): Fraction(1)})
+    def test_one_term_operand(self, a, t):
+        p, u = Poly(a), Poly(t)
+        assert ref.of(p * u) == ref.mul(a, t)
+        assert ref.of(u * p) == ref.mul(t, a)
+        assert p * u == u * p == poly_dot([(p, u)])
+
+    @given(st.lists(st.tuples(ref_polys, ref_polys), min_size=1, max_size=3))
+    @settings(max_examples=30, derandomize=True)
+    def test_fused_sum(self, pairs):
+        got = poly_dot([(Poly(a), Poly(b)) for a, b in pairs])
+        assert ref.of(got) == ref_dot(pairs)
+        # the canonical form is the one a chain of products and adds reaches
+        assert got == sum((Poly(a) * Poly(b) for a, b in pairs), Poly.zero())
+
+    @given(ref_polys, ref_polys, ref_polys)
+    @settings(max_examples=20, derandomize=True)
+    def test_fused_sum_that_cancels(self, a, b, c):
+        p, q, r = Poly(a), Poly(b), Poly(c)
+        assert poly_dot([(p, q), (-q, p)]).is_zero()
+        assert poly_dot([(p, q), (r, q), (-(p + r), q)]).is_zero()
+        assert ref.of(poly_dot([(p, q), (r, q), (-p, q)])) == ref.mul(c, b)
+
+    def test_fused_sum_with_rational_contents(self):
+        pairs = [(Fraction(1, 6) * (1 - x1), 4 * x2), (Fraction(3, 4) * x1, Fraction(2, 9) + x2)]
+        expect = ref_dot([(ref.of(p), ref.of(q)) for p, q in pairs])
+        assert ref.of(poly_dot(pairs)) == expect
+        assert poly_dot([]) == poly_dot([(Poly.zero(), x1)]) == Poly.zero()
+        # contents whose products are integral Fractions
+        pairs = [(Fraction(1, 2) * x1, 2 * x2), (Fraction(3, 4) * x2, Fraction(4, 3) + 4 * x1)]
+        assert poly_dot(pairs) == x1 * x2 + x2 + 3 * x1 * x2
+
+
 class TestExponentField:
     TOP = 2 ** 15 - 1  # a 16-bit field less its guard bit
 
@@ -159,6 +215,16 @@ class TestExponentField:
     ])
     def test_one_more_raises(self, make):
         with pytest.raises(ExponentOverflowError):
+            make(self.TOP)
+
+    @pytest.mark.parametrize("make", [
+        lambda top: (x1 + x2 ** top) * x2,  # a one-term operand, as a shift
+        lambda top: -x2 * (x1 - 3 * x2 ** top),
+        lambda top: poly_dot([(x2 ** top + x1, x2)]),
+        lambda top: poly_dot([(x1, x1), (x2 ** top + x1, x2 + 1)]),
+    ])
+    def test_product_reaching_a_guard_bit_raises(self, make):
+        with pytest.raises(ExponentOverflowError, match="^exponent of x2 exceeds 32767"):
             make(self.TOP)
 
 
