@@ -53,7 +53,7 @@ def _parse_order(text: Optional[str]) -> Optional[Tuple[int, ...]]:
         if len(set(order)) != len(order):
             raise ValueError("extraction order repeats a variable")
         if min(order) < 0:
-            raise ValueError("variable indices are nonnegative")
+            raise ValueError("variable numbers start at 1")
     except ValueError as exc:
         raise CTForgeError(f"bad --order {text!r}: {exc}") from None
     if order != tuple(range(len(order))):

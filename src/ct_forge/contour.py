@@ -321,27 +321,26 @@ def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, FactoredRational]:
     1 - w^2 = -u(2+u) and w_j^2 - w_k^2 = (u_j - u_k)(2 + u_j + u_k);
     z^2 = y gives Y around 1, and t = 1 - y gives T around 0.  In Z, Y and
     T the measure u_j cancels into the monomial u_j^a, which leaves an
-    exact constant as the numerator."""
+    exact constant as the numerator.  Every form writes its pair bases
+    u_k - u_j (j < k), the sign create would give them, so Z and Y carry
+    (-1)**(twoc * C(n, 2)) in their prefactor."""
     e = 2 * a * n + 2 * twoc * math.comb(n, 2)
-    sign = (-1) ** (n * (a + 1))
+    sign = (-1) ** (n * (a + 1) + twoc * math.comb(n, 2))
     us = [Poly.var(j) for j in range(n)]
     pairs = [(us[j], us[k]) for j in range(n) for k in range(j + 1, n)]
+    diffs = [(uk - uj, twoc) for uj, uk in pairs]
     monomials = [(u, a - 1) for u in us if a > 1]
     half = Fraction(1, 2)
 
     def form(scale: int, den: List[Factor]):
-        return FactoredRational.create(Poly.constant(scale), monomials + den)
+        return FactoredRational.create(Poly.constant(scale), monomials + diffs + den)
 
     return {
         "x": build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc)),
         "z": form(sign * 2 ** (e - n),
-                  [(2 + u, a) for u in us]
-                  + [(uj - uk, twoc) for uj, uk in pairs]
-                  + [(2 + uj + uk, twoc) for uj, uk in pairs]),
-        "y": form(sign * 2 ** (e - 2 * n),
-                  [(uj - uk, twoc) for uj, uk in pairs] + [(1 + u, half) for u in us]),
-        "t": form(2 ** (e - 2 * n),
-                  [(uk - uj, twoc) for uj, uk in pairs] + [(1 - u, half) for u in us]),
+                  [(2 + u, a) for u in us] + [(2 + uj + uk, twoc) for uj, uk in pairs]),
+        "y": form(sign * 2 ** (e - 2 * n), [(1 + u, half) for u in us]),
+        "t": form(2 ** (e - 2 * n), [(1 - u, half) for u in us]),
     }
 
 

@@ -16,7 +16,9 @@ Exponents stay below it, so a sum of two exponents never carries into the
 next field, and an exponent that reaches it raises ExponentOverflowError.
 Every product runs one term loop, _products, into one int dict: a one-term
 operand makes it a shift, and poly_dot(pairs) adds all of sum(p * q) into one
-dict, each pair scaled by its content over the contents' lcm.
+dict.  One rule, _over_lcm, puts rationals over the lcm of their denominators,
+and one accumulator, _from_rationals, sums repeated monomials.  There is no
+power: ct_var forms the powers it needs by products, inside its step budget.
 
 At the boundary a monomial is a sorted tuple of (variable, exponent) pairs
 with positive exponents, the constant monomial being the empty tuple:
@@ -35,7 +37,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from numbers import Rational
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .errors import ExponentOverflowError, ParseError
 
@@ -104,12 +106,20 @@ def _primitive(terms: Dict[int, int], content):
     return terms, _rational(content)
 
 
-def _from_rationals(terms: Dict[int, Rational]):
-    """(terms, content) of rational coefficients; zero sums drop out."""
-    terms = {m: c for m, c in terms.items() if c}
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return _primitive({m: c.numerator * (den // c.denominator) for m, c in terms.items()},
-                      Fraction(1, den))
+def _over_lcm(qs):
+    """(ints, k) with qs = k * ints and k = 1/lcm of their denominators, the int 1 for 1/1."""
+    den = math.lcm(*[q.denominator for q in qs])
+    return [q.numerator * (den // q.denominator) for q in qs], Fraction(1, den) if den > 1 else 1
+
+
+def _from_rationals(pairs: Iterable[Tuple[int, Rational]]):
+    """(terms, content) of (packed monomial, rational) pairs; repeats add, zero sums drop."""
+    acc: Dict[int, Rational] = {}
+    for m, c in pairs:
+        acc[m] = acc.get(m, 0) + c
+    acc = {m: c for m, c in acc.items() if c}
+    nums, k = _over_lcm(acc.values())
+    return _primitive(dict(zip(acc, nums)), k)
 
 
 def _products(pairs) -> Dict[int, int]:
@@ -149,13 +159,8 @@ class Poly:
     __slots__ = ("_terms", "_content")
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        acc: Dict[int, Fraction] = {}
-        for mono, coef in (terms or {}).items():
-            c = Fraction(coef)
-            if c:
-                m = _pack(mono)
-                acc[m] = acc.get(m, 0) + c
-        self._terms, self._content = _from_rationals(acc)
+        pairs = ((mono, Fraction(c)) for mono, c in (terms or {}).items())
+        self._terms, self._content = _from_rationals((_pack(mono), c) for mono, c in pairs if c)
 
     @classmethod
     def _raw(cls, terms: Dict[int, int], content) -> "Poly":
@@ -212,11 +217,10 @@ class Poly:
         return len(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self._content == other._content and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._content == other._content and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self.is_constant():  # equal to its rational value, so hashed as one
@@ -237,13 +241,8 @@ class Poly:
         if a == b:
             ka = kb = 1
         else:
-            # a*P + b*Q = (g/den) * (ka*P + kb*Q) with coprime ints ka, kb
-            den = math.lcm(a.denominator, b.denominator)
-            an = a.numerator * (den // a.denominator)
-            bn = b.numerator * (den // b.denominator)
-            g = math.gcd(an, bn)
-            ka, kb = an // g, bn // g
-            a = Fraction(g, den) if den > 1 else g
+            # a*P + b*Q = k * (ka*P + kb*Q) with ints ka, kb; _primitive takes out the sum's gcd
+            (ka, kb), a = _over_lcm((a, b))
         out = dict(self._terms) if ka == 1 else {m: ka * c for m, c in self._terms.items()}
         for m, c in other._terms.items():
             s = out.get(m, 0) + kb * c
@@ -274,28 +273,15 @@ class Poly:
         if not isinstance(other, Poly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            if not other or not self._terms:
-                return Poly.zero()
-            terms = self._terms if other > 0 else {m: -c for m, c in self._terms.items()}
-            return Poly._raw(terms, _rational(self._content * abs(other)))
-        if not self._terms or not other._terms:
-            return Poly.zero()
-        return Poly._raw(_products([(self._terms, other._terms, 1)]),
-                         _rational(self._content * other._content))
+            if other and self._terms:
+                terms = self._terms if other > 0 else {m: -c for m, c in self._terms.items()}
+                return Poly._raw(terms, _rational(self._content * abs(other)))
+        elif self._terms and other._terms:
+            return Poly._raw(_products([(self._terms, other._terms, 1)]),
+                             _rational(self._content * other._content))
+        return Poly.zero()
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Poly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial powers take nonnegative integers")
-        out = Poly.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
 
     # -- structure -------------------------------------------------------
 
@@ -358,11 +344,9 @@ def poly_dot(pairs) -> Poly:
     """sum(p * q for p, q in pairs), every term product added into one dict."""
     if len(pairs) < 2:
         return pairs[0][0] * pairs[0][1] if pairs else Poly.zero()
-    contents = [p._content * q._content for p, q in pairs]
-    den = math.lcm(*[c.denominator for c in contents])
-    out = _products([(p._terms, q._terms, c.numerator * (den // c.denominator))
-                     for (p, q), c in zip(pairs, contents)])
-    return Poly._raw(*_primitive(out, Fraction(1, den) if den > 1 else 1))
+    ks, k = _over_lcm([p._content * q._content for p, q in pairs])
+    out = _products([(p._terms, q._terms, kp) for (p, q), kp in zip(pairs, ks)])
+    return Poly._raw(*_primitive(out, k))
 
 
 def _coerce(value) -> "Poly":
@@ -387,7 +371,7 @@ def parse_poly(text: str) -> Poly:
     """Parse the rendered polynomial format: a signed sum of terms, each a
     '*'-separated product of a rational coefficient and variable powers,
     e.g. "1 - x1 - x2", "3/2*x1^2*x3"."""
-    terms: Dict[int, Fraction] = {}
+    terms: List[Tuple[int, Rational]] = []
     pos = 0
     while pos < len(text) or not pos:
         m = _TERM_RE.match(text, pos)
@@ -402,11 +386,6 @@ def parse_poly(text: str) -> Poly:
                 raise ParseError(f"bad variable x{var}")
             else:
                 exps[int(var) - 1] = exps.get(int(var) - 1, 0) + int(exp or 1)
-        mono = _pack(exps.items())
-        acc = terms.get(mono, 0) + coef
-        if acc:
-            terms[mono] = acc
-        else:
-            terms.pop(mono, None)
+        terms.append((_pack(exps.items()), coef))
         pos = m.end()
     return Poly._raw(*_from_rationals(terms))

@@ -10,6 +10,7 @@ import math
 
 from ct_forge.ctengine import FactoredRational
 from ct_forge.polyring import Poly
+from rationals import power
 
 
 def ct_var(f: FactoredRational, v: int) -> FactoredRational:
@@ -31,7 +32,8 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
     acc = {d: p for d, p in f.num.coeffs_in(v).items() if d <= M}
     for h0, h1, exp in series:
         out_den.append((h0, exp + M))
-        fac = [math.comb(exp + t - 1, t) * (-h1) ** t * h0 ** (M - t) for t in range(M + 1)]
+        fac = [math.comb(exp + t - 1, t) * power(-h1, t) * power(h0, M - t)
+               for t in range(M + 1)]
         new_acc = {}
         for d, p in acc.items():
             for t in range(M + 1 - d):

@@ -44,13 +44,6 @@ def mul(p: dict, q: dict) -> dict:
     return out
 
 
-def power(p: dict, e: int) -> dict:
-    out = {(): Fraction(1)}
-    for _ in range(e):
-        out = mul(out, p)
-    return out
-
-
 def degree_in(p: dict, v: int) -> int:
     return max((dict(mono).get(v, 0) for mono in p), default=0)
 

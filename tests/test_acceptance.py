@@ -236,7 +236,7 @@ def _prop_coeff_reconstruction(rng):
     parts = p.coeffs_in(v)
     total = Poly.zero()
     for k in range(p.degree_in(v) + 1):
-        total = total + parts.get(k, Poly.zero()) * Poly.var(v) ** k
+        total = total + parts.get(k, Poly.zero()) * rationals.power(Poly.var(v), k)
     assert total == p
 
 

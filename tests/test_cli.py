@@ -23,7 +23,7 @@ from ct_forge.identities import IdentitySpec
 BAD_ORDER_ERRORS = {
     "1,1": "error: bad --order '1,1': extraction order repeats a variable\n",
     "0,0": "error: bad --order '0,0': extraction order repeats a variable\n",
-    "0,1": "error: bad --order '0,1': variable indices are nonnegative\n",
+    "0,1": "error: bad --order '0,1': variable numbers start at 1\n",
     "x": "error: bad --order 'x': invalid literal for int() with base 10: 'x'\n",
     "2;1": "error: bad --order '2;1': invalid literal for int() with base 10: '2;1'\n",
 }

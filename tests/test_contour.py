@@ -470,6 +470,25 @@ class TestChain:
         assert {form: ct_iterated(f) for form, f in forms.items()} == dict.fromkeys(
             "xzyt", thm_rhs(n, a, twoc))
 
+    @pytest.mark.parametrize("n,a,twoc", [(2, 1, 1), (3, 2, 1), (3, 3, 2), (4, 2, 2)])
+    def test_forms_hand_create_canonical_bases(self, n, a, twoc, monkeypatch):
+        """Every integer-power base _chain_forms passes to create already has
+        the sign create gives it, so create negates none of them."""
+        create = FactoredRational.create.__func__
+        seen = []
+
+        def spy(cls, num, den=()):
+            seen.extend(den)
+            return create(cls, num, den)
+
+        monkeypatch.setattr(FactoredRational, "create", classmethod(spy))
+        contour._chain_forms(n, a, twoc)
+        pairs = [base for base, exp in seen if len(base.variables()) == 2]
+        assert len(pairs) >= 3 * math.comb(n, 2)  # at least u_k - u_j in Z, Y and T
+        for base, exp in seen:
+            if isinstance(exp, int):
+                assert base.canonical_sign() == 1, (str(base), exp)
+
     def test_config_errors(self):
         cfg = QuadratureConfig(0.005, 64)
         with pytest.raises(ConfigError, match="n=4 at N=1024 .* over the budget"):

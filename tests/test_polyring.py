@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import poly_reference as ref
 from ct_forge.errors import ExponentOverflowError, ParseError
 from ct_forge.polyring import Poly, parse_poly, poly_dot
+from rationals import power
 
 x1, x2, x3 = Poly.var(0), Poly.var(1), Poly.var(2)
 
@@ -56,6 +57,11 @@ class TestConstruction:
         assert Poly({((0, 1),): 1}) == x1
         assert Poly({((0, 1),): 0}) == Poly.zero()
         assert Poly({((0, 0),): 5}) == 5  # zero exponents drop out
+        # two keys that pack to one monomial add up, here to zero
+        assert Poly({((0, 1), (0, 1)): 1, ((0, 2),): -1}) == Poly.zero()
+        assert Poly({((0, 1), (0, 1)): 1, ((0, 2),): Fraction(1, 2)}) == Fraction(3, 2) * x1 * x1
+        # a zero coefficient drops out before its monomial is packed
+        assert Poly({((1024, 1),): 0, ((1, 2 ** 15),): Fraction(0), ((0, 1),): 2}) == 2 * x1
         assert Poly.constant(Fraction(3, 2)).constant_coeff() == Fraction(3, 2)
 
     def test_int_and_fraction_equality(self):
@@ -87,13 +93,6 @@ class TestArithmetic:
     def test_product_example(self):
         assert (1 - x1) * (1 + x1) == 1 - x1 * x1
 
-    def test_pow(self):
-        p = (1 - x1) ** 3
-        assert p == 1 - 3 * x1 + 3 * x1 ** 2 - x1 ** 3
-        assert x1 ** 0 == 1
-        with pytest.raises(ValueError):
-            x1 ** -1
-
     def test_scalar_ops(self):
         assert 2 * x1 + x1 == 3 * x1
         assert (1 - x1) - 1 == -x1
@@ -120,23 +119,30 @@ class TestArithmetic:
         for k in range(p.degree_in(v) + 1):
             part = parts.get(k, Poly.zero())
             assert v not in part.variables()
-            total = total + part * xv ** k
+            total = total + part * power(xv, k)
         assert total == p
 
 
 class TestAgainstReference:
     """The packed integer core against the dict-of-Fraction reference."""
 
-    @given(ref_polys, ref_polys, scalars, st.integers(0, 3), st.integers(0, 3))
+    @given(ref_polys, ref_polys, scalars, st.integers(0, 3))
     @settings(max_examples=150, derandomize=True)
-    def test_operations(self, a, b, s, v, e):
+    # sums whose contents share a factor, or have different denominators, with an int
+    @example({((0, 1),): Fraction(2)}, {((1, 1),): Fraction(4)}, 6, 0)
+    @example({((0, 1),): Fraction(1, 2)}, {((1, 1),): Fraction(1, 3)}, 3, 1)
+    @example({((0, 1),): Fraction(2, 3)}, {((0, 1),): Fraction(-2, 3)}, -2, 0)
+    def test_operations(self, a, b, s, v):
         p, q = Poly(a), Poly(b)
         assert ref.of(p) == a
         assert ref.of(p + q) == ref.add(a, b)
+        assert p + q == Poly(ref.add(a, b))
         assert ref.of(p - q) == ref.add(a, ref.neg(b))
+        const = ref.add({}, {(): s})
+        assert ref.of(p + s) == ref.of(s + p) == ref.add(a, const)
+        assert ref.of(s - p) == ref.add(const, ref.neg(a))
         assert ref.of(p * q) == ref.mul(a, b)
         assert ref.of(p * s) == {m: c * s for m, c in a.items() if c * s}
-        assert ref.of(p ** e) == ref.power(a, e)
         assert p.degree_in(v) == ref.degree_in(a, v)
         parts = p.coeffs_in(v)
         for k in range(ref.degree_in(a, v) + 2):
@@ -196,32 +202,33 @@ class TestExponentField:
     TOP = 2 ** 15 - 1  # a 16-bit field less its guard bit
 
     def test_largest_exponent_fits(self):
-        p = x2 ** self.TOP
+        p = parse_poly(f"x2^{self.TOP}")
         assert p.degree_in(1) == self.TOP
         assert p.degree_in(0) == p.degree_in(2) == 0
-        assert x2 ** (self.TOP // 2) * x2 ** (self.TOP - self.TOP // 2) == p
+        half = self.TOP // 2
+        assert parse_poly(f"x2^{half}") * parse_poly(f"x2^{self.TOP - half}") == p
         assert (p * x1 * x3).variables() == frozenset({0, 1, 2})
         assert parse_poly(f"x2^{self.TOP}") == Poly({((1, self.TOP),): 1}) == p
         assert str(p) == f"x2^{self.TOP}"
 
     @pytest.mark.parametrize("make", [
-        lambda top: x2 ** top * x2,
-        lambda top: x2 ** (top + 1),
+        lambda top: parse_poly(f"x2^{top}") * x2,
+        lambda top: parse_poly(f"x2^{(top + 1) // 2}") * parse_poly(f"x2^{(top + 1) // 2}"),
         lambda top: parse_poly(f"x2^{top + 1}"),
         lambda top: parse_poly(f"x2^{top}*x2"),
         lambda top: Poly({((1, top + 1),): 1}),
         lambda top: Poly({((1, top), (1, 1)): 1}),
-        lambda top: Poly.var(1023) ** top * Poly.var(1023),  # the last field
+        lambda top: parse_poly(f"x1024^{top}") * Poly.var(1023),  # the last field
     ])
     def test_one_more_raises(self, make):
         with pytest.raises(ExponentOverflowError):
             make(self.TOP)
 
     @pytest.mark.parametrize("make", [
-        lambda top: (x1 + x2 ** top) * x2,  # a one-term operand, as a shift
-        lambda top: -x2 * (x1 - 3 * x2 ** top),
-        lambda top: poly_dot([(x2 ** top + x1, x2)]),
-        lambda top: poly_dot([(x1, x1), (x2 ** top + x1, x2 + 1)]),
+        lambda top: parse_poly(f"x1 + x2^{top}") * x2,  # a one-term operand, as a shift
+        lambda top: -x2 * parse_poly(f"x1 - 3*x2^{top}"),
+        lambda top: poly_dot([(parse_poly(f"x2^{top} + x1"), x2)]),
+        lambda top: poly_dot([(x1, x1), (parse_poly(f"x2^{top} + x1"), x2 + 1)]),
     ])
     def test_product_reaching_a_guard_bit_raises(self, make):
         with pytest.raises(ExponentOverflowError, match="^exponent of x2 exceeds 32767"):
@@ -230,7 +237,7 @@ class TestExponentField:
 
     def test_variable_index_bound(self):
         assert (Poly.var(1023) * x1).variables() == frozenset({0, 1023})
-        assert parse_poly("x1024^2") == Poly.var(1023) ** 2
+        assert parse_poly("x1024^2") == Poly.var(1023) * Poly.var(1023)
         with pytest.raises(ValueError):
             Poly.var(1024)
         with pytest.raises(ValueError):
@@ -241,7 +248,7 @@ class TestExponentField:
 
 class TestQueries:
     def test_degrees(self):
-        p = 1 - x1 * x2 ** 2 + x3
+        p = 1 - x1 * x2 * x2 + x3
         assert p.degree_in(1) == 2
         assert p.degree_in(0) == 1
 
@@ -269,7 +276,7 @@ class TestText:
         (Poly.zero(), "0"),
         (Poly.constant(Fraction(-3, 2)), "-3/2"),
         (1 - x1 - x2, "1 - x1 - x2"),
-        (Fraction(3, 2) * x1 ** 2 * x3, "3/2*x1^2*x3"),
+        (Fraction(3, 2) * x1 * x1 * x3, "3/2*x1^2*x3"),
         (2 * x2 - x1, "-x1 + 2*x2"),
     ])
     def test_render(self, p, expected):
@@ -279,11 +286,15 @@ class TestText:
         ("0", Poly.zero()),
         ("x2 - x1", x2 - x1),
         ("1 - x1 - x2", 1 - x1 - x2),
-        ("3/2*x1^2*x3", Fraction(3, 2) * x1 ** 2 * x3),
-        ("x1**2", x1 ** 2),
-        ("2*x1*x1", 2 * x1 ** 2),
+        ("3/2*x1^2*x3", Fraction(3, 2) * x1 * x1 * x3),
+        ("x1**2", x1 * x1),
+        ("2*x1*x1", 2 * x1 * x1),
         ("- x1 + x1", Poly.zero()),
         ("+5", Poly.constant(5)),
+        ("x1 - x1", Poly.zero()),
+        ("x1*x1 - x1^2", Poly.zero()),
+        ("1/2*x1 + 1/2*x1 - x1", Poly.zero()),
+        ("x1 - x1 + 3 + x1", 3 + x1),
     ])
     def test_parse(self, text, p):
         assert parse_poly(text) == p
