@@ -82,8 +82,10 @@ class FactoredRational:
     def create(cls, num: Poly, den: Sequence[Factor] = ()) -> "FactoredRational":
         """Normalize: fold rational contents and constant factors into the
         numerator, a half-integer power by its exact root or NonRationalError,
-        merge bases equal up to sign, drop everything on a zero numerator."""
-        scale = Fraction(1)
+        merge bases equal up to sign, drop everything on a zero numerator.
+        The divisors multiply together, ints while they can, and divide the
+        numerator once."""
+        div = 1
         merged: Dict[Poly, Union[int, Fraction]] = {}
         for base, exp in den:
             half = type(exp) is Fraction and exp.denominator == 2 and exp.numerator > 0
@@ -91,19 +93,18 @@ class FactoredRational:
                 raise ValueError(f"factor exponents must be positive integers, got {exp!r}")
             if base.is_zero():
                 raise ZeroDivisionError("zero polynomial in denominator")
-            if base.is_constant():
-                c = base.constant_coeff()
-                scale /= _half_power(c, exp) if half else c ** exp
-                continue
             content, prim = base.content_and_primitive()
-            if not half and prim.canonical_sign() < 0:  # (-b)**exp = (-1)**exp * b**exp
+            # (-b)**exp = (-1)**exp * b**exp; a constant base is all content, sign included
+            if prim.canonical_sign() < 0 and (not half or prim.is_constant()):
                 content, prim = -content, -prim
             if content != 1:
-                scale /= _half_power(content, exp) if half else content ** exp
+                div *= _half_power(content, exp) if half else content ** exp
+            if prim.is_constant():
+                continue
             exp = merged.get(prim, 0) + exp
             merged[prim] = exp.numerator if half and exp.denominator == 1 else exp
-        if scale != 1:
-            num = num * scale
+        if div != 1:
+            num = num * Fraction(div.denominator, div.numerator)
         if num.is_zero():
             return cls(Poly.zero(), ())
         factors = tuple(sorted(merged.items(), key=lambda f: f[0].order_key()))
@@ -132,18 +133,18 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
 
     Denominator factors split three ways by their shape in v: v-free factors
     pass through untouched, pure monomials c*v shift which numerator
-    coefficient is wanted, and affine factors with nonzero v-free part h0
-    expand as geometric series.  The result is the coefficient of v**M, M
-    the total monomial shift, in the product of those series with the
-    numerator, written over denominator bases h0**(exp+M).  BudgetError
-    when that takes more than _STEP_BUDGET term products, before forming them.
+    coefficient is wanted and pass their constant c on to create, and affine
+    factors with nonzero v-free part h0 expand as geometric series.  The
+    result is the coefficient of v**M, M the total monomial shift, in the
+    product of those series with the numerator, written over denominator
+    bases h0**(exp+M).  BudgetError when that takes more than _STEP_BUDGET
+    term products, before forming them.
     """
     if f.is_zero():
         return f
     passthrough: List[Factor] = []
     series_factors: List[Tuple[Poly, Poly, int]] = []  # (h0, h1, exp)
     M = 0  # the monomial shift: the power of v whose coefficient is wanted
-    mono_scale = 1
     for base, exp in f.den:
         d = base.degree_in(v)
         if d == 0:
@@ -163,7 +164,7 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
             if not isinstance(exp, int):
                 raise ZeroConstantError(f"({base})^({exp}) has no Laurent series in x{v + 1}")
             M += exp
-            mono_scale /= h1.constant_coeff() ** exp
+            passthrough.append((h1, exp))  # c of (c*v)**exp: create divides it out
             continue
         series_factors.append((h0, h1, exp))
     if M > _MAX_EXP:  # refused before the series work, which grows linearly in M
@@ -203,8 +204,7 @@ def ct_var(f: FactoredRational, v: int) -> FactoredRational:
         spend(sum(len(p) * len(q) for pairs in sums.values() for p, q in pairs))
         acc = {s: poly_dot(pairs) for s, pairs in sums.items()}
 
-    target = acc.get(M, Poly.zero()) * mono_scale
-    return FactoredRational.create(target, out_den)
+    return FactoredRational.create(acc.get(M, Poly.zero()), out_den)
 
 
 def ct_iterated(f: FactoredRational, order: Optional[Sequence[int]] = None) -> Fraction:

@@ -3,35 +3,36 @@ built from them.
 
 Everything here is exact: rationals are `fractions.Fraction`, half integers
 are carried as twice their value, and a Gamma value is its rational part,
-the sqrt(pi) of an odd argument counted.  No floating point enters here.
+an int numerator and denominator, the sqrt(pi) of an odd argument counted.
+A Gamma quotient stays in ints until its one Fraction is formed.  No
+floating point enters here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from .errors import DomainError, NonRationalError, PoleError
 
 
-def gamma_half(t: int) -> Fraction:
-    """The rational part of Gamma(t/2), via the recurrence from Gamma(1) = 1
-    and Gamma(1/2) = sqrt(pi): Gamma(t/2) is it times sqrt(pi) when t is odd.
+def gamma_half(t: int) -> Tuple[int, int]:
+    """The rational part of Gamma(t/2) as ints (p, q), q > 0: Gamma(t/2) is
+    p/q, times sqrt(pi) when t is odd.  The recurrence Gamma(s/2 + 1) =
+    (s/2) Gamma(s/2) from Gamma(1/2) = sqrt(pi) gives (t-2)!! / 2^((t-1)/2)
+    for odd t > 0 and, run down, (-2)^((1-t)/2) / (-t)!! for odd t < 0.
 
-    Negative half integers are fine (Gamma(-1/2) = -2 sqrt(pi) gives -2);
-    nonpositive integers are poles.
+    Negative half integers are fine (Gamma(-1/2) = -2 sqrt(pi) gives
+    (-2, 1)); nonpositive integers are poles.
     """
     if t % 2 == 0:
         if t <= 0:
             raise PoleError(f"Gamma({t // 2}) is a pole")
-        return Fraction(math.factorial(t // 2 - 1))
-    rat = Fraction(1)
-    for s in range(1, t, 2):  # up from Gamma(1/2): Gamma(s/2 + 1) = (s/2) Gamma(s/2)
-        rat *= Fraction(s, 2)
-    for s in range(t, 1, 2):  # down from Gamma(1/2) when t < 0
-        rat /= Fraction(s, 2)
-    return rat
+        return math.factorial(t // 2 - 1), 1
+    if t > 0:
+        return math.prod(range(1, t, 2)), 1 << ((t - 1) // 2)
+    return (-2) ** ((1 - t) // 2), math.prod(range(1, 1 - t, 2))
 
 
 def catalan(k: int) -> Fraction:
@@ -52,7 +53,9 @@ def catalan_product(n: int) -> Fraction:
 def gamma_quotient(num_twice: Iterable[int], den_twice: Iterable[int]) -> Fraction:
     """prod Gamma(num)/prod Gamma(den), arguments in twice-units: the product
     of gamma_half's rational parts, times sqrt(pi) to the count of odd
-    numerator arguments less the count of odd denominator arguments.
+    numerator arguments less the count of odd denominator arguments.  The
+    parts' int numerators and denominators are multiplied as ints, and one
+    Fraction is formed at the end.
 
     Returns 0 when any denominator argument is a nonpositive integer: the
     reciprocal of a Gamma pole is zero and collapses the whole product,
@@ -64,18 +67,18 @@ def gamma_quotient(num_twice: Iterable[int], den_twice: Iterable[int]) -> Fracti
     den = list(den_twice)
     if any(t <= 0 and t % 2 == 0 for t in den):
         return Fraction(0)
-    acc, pi_half_exp = Fraction(1), 0
+    p, q, pi_half_exp = 1, 1, 0
     for t in num_twice:
         if t <= 0 and t % 2 == 0:
             raise PoleError(f"Gamma({t // 2}) pole in a numerator")
-        acc *= gamma_half(t)
-        pi_half_exp += t % 2
+        a, b = gamma_half(t)
+        p, q, pi_half_exp = p * a, q * b, pi_half_exp + t % 2
     for t in den:
-        acc /= gamma_half(t)
-        pi_half_exp -= t % 2
+        a, b = gamma_half(t)
+        p, q, pi_half_exp = p * b, q * a, pi_half_exp - t % 2
     if pi_half_exp:
         raise NonRationalError(f"value carries sqrt(pi)^{pi_half_exp}, not rational")
-    return acc
+    return Fraction(p, q)
 
 
 def _morris_form(n: int, twoa: int, twob: int, twoc: int) -> Fraction:

@@ -263,7 +263,7 @@ def _prop_epsilon_independence(rng):
 
 def _prop_gamma_recurrence(rng):
     twice = rng.choice([t for t in range(-25, 26) if t % 2 != 0 or t > 0])
-    assert gamma_half(twice + 2) == Fraction(twice, 2) * gamma_half(twice)
+    assert Fraction(*gamma_half(twice + 2)) == Fraction(twice, 2) * Fraction(*gamma_half(twice))
 
 
 def _prop_pi_exponent(rng):

@@ -35,12 +35,71 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+TOP_USAGE = "usage: ct-forge [-h] {verify,ct,oracle,chain,gamma-check} ...\n"
+VERIFY_USAGE = (
+    "usage: ct-forge verify [-h] [--family {cry,mm,morris,thm}] [--n N] [--a A]\n"
+    "                       [--b B] [--twoc TWOC] [--order ORDER] [--grid GRID]\n"
+    "                       [--jobs JOBS] [--format {text,json}]\n")
+
+
 class TestUsageErrors:
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        # argparse wraps usage and help to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+
     def test_no_subcommand(self, capsys):
-        assert main([]) == 2
+        assert run(capsys, []) == (2, "", TOP_USAGE + "ct-forge: error: the following "
+                                   "arguments are required: command\n")
 
     def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 2
+        assert run(capsys, ["frobnicate"]) == (2, "", TOP_USAGE + "ct-forge: error: argument "
+                                               "command: invalid choice: 'frobnicate' (choose "
+                                               "from 'verify', 'ct', 'oracle', 'chain', "
+                                               "'gamma-check')\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        # leftover words are named under the top-level usage, not the subcommand's
+        (["verify", "--family", "mm", "--n", "2", "--bogus"],
+         TOP_USAGE + "ct-forge: error: unrecognized arguments: --bogus\n"),
+        (["verify", "--n", "x"],
+         VERIFY_USAGE + "ct-forge verify: error: argument --n: invalid int value: 'x'\n"),
+        (["ct"], "usage: ct-forge ct [-h] [--order ORDER] [--format {text,json}] spec_file\n"
+         "ct-forge ct: error: the following arguments are required: spec_file\n"),
+    ], ids=["leftover", "bad-int", "missing-positional"])
+    def test_usage_error_lines(self, capsys, argv, err):
+        assert run(capsys, argv) == (2, "", err)
+
+    def test_help(self, capsys):
+        assert run(capsys, ["--help"]) == (0, TOP_USAGE + """
+exact and numeric verification of constant-term identities
+
+positional arguments:
+  {verify,ct,oracle,chain,gamma-check}
+    verify              exact check of an identity instance
+    ct                  exact constant term of a factored rational
+    oracle              numeric contour estimate of an identity
+    chain               numeric check of the substitution chain
+    gamma-check         exact Gamma-product identity checks
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+    def test_subcommand_help(self, capsys):
+        assert run(capsys, ["verify", "--help"]) == (0, VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --family {cry,mm,morris,thm}
+  --n N
+  --a A
+  --b B
+  --twoc TWOC
+  --order ORDER         extraction order as 1-based comma list, e.g. 2,1
+  --grid GRID           JSON file with a list of identity specs
+  --jobs JOBS           parallel workers for --grid
+  --format {text,json}
+""", "")
 
     def test_verify_needs_spec(self, capsys):
         code, _, err = run(capsys, ["verify"])
@@ -299,6 +358,11 @@ class TestCt:
         assert (code, out) == (2, "")
         assert err == ("error: malformed factored-rational object: "
                        "factor exponents must be positive integers, got 0.5\n")
+
+    def test_zero_denominator_coefficient(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"num": "1", "den": [["1/0 - x1", 1]]})
+        assert run(capsys, ["ct", path]) == (
+            2, "", "error: malformed factored-rational object: Fraction(1, 0)\n")
 
     def test_bool_exponent(self, capsys, tmp_path):
         path = self.write(tmp_path, {"num": "1", "den": [["1 - x1", True]]})

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ct_forge.errors import DomainError, NonRationalError, PoleError
@@ -16,6 +16,33 @@ from ct_forge.exactarith import (
     morris_rhs,
     thm_rhs,
 )
+
+
+def rational_part(t: int) -> Fraction:
+    """Gamma(t/2) / sqrt(pi)**(t % 2), one recurrence step at a time from
+    Gamma(1) = 1 or Gamma(1/2) = sqrt(pi); t is not a pole."""
+    s, value = 2 - t % 2, Fraction(1)
+    while s < t:  # Gamma(s/2 + 1) = (s/2) Gamma(s/2)
+        value *= Fraction(s, 2)
+        s += 2
+    while s > t:  # Gamma(s/2 - 1) = Gamma(s/2) / (s/2 - 1)
+        s -= 2
+        value /= Fraction(s, 2)
+    return value
+
+
+def parts_quotient(nums, dens) -> Fraction:
+    """The product of rational_part over nums over that over dens."""
+    value = Fraction(1)
+    for t in nums:
+        value *= rational_part(t)
+    for t in dens:
+        value /= rational_part(t)
+    return value
+
+
+def is_pole(t: int) -> bool:
+    return t <= 0 and t % 2 == 0
 
 
 class TestGammaQuotient:
@@ -46,6 +73,31 @@ class TestGammaQuotient:
                            match=r"^value carries sqrt\(pi\)\^-2, not rational$"):
             gamma_quotient([2], [1, 3])
 
+    # twice-unit arguments with poles and negative odd ones among them
+    @given(st.lists(st.integers(min_value=-15, max_value=25), max_size=6),
+           st.lists(st.integers(min_value=-15, max_value=25), max_size=6))
+    @example([-1, 7], [-3, 1])            # negative odd arguments, sqrt(pi) balanced
+    @example([-4, 5], [-3, 0])            # denominator pole over a numerator pole
+    @example([3, -2], [1, 2])             # numerator pole alone
+    @settings(max_examples=300, derandomize=True)
+    def test_against_recurrence(self, nums, dens):
+        """gamma_quotient is the quotient of the rational parts that the
+        recurrence builds, when it is rational and no pole intervenes."""
+        if any(is_pole(t) for t in dens):
+            assert gamma_quotient(nums, dens) == 0
+            return
+        if any(is_pole(t) for t in nums):
+            with pytest.raises(PoleError):
+                gamma_quotient(nums, dens)
+            return
+        power = sum(t % 2 for t in nums) - sum(t % 2 for t in dens)
+        if power:
+            with pytest.raises(NonRationalError, match=rf"sqrt\(pi\)\^{power},"):
+                gamma_quotient(nums, dens)
+            return
+        value = gamma_quotient(nums, dens)
+        assert type(value) is Fraction and value == parts_quotient(nums, dens)
+
 
 class TestGammaHalf:
     @pytest.mark.parametrize("twice,rat,pi_exp", [
@@ -59,10 +111,11 @@ class TestGammaHalf:
         (10, Fraction(24), 0),          # Gamma(5) = 24
     ])
     def test_known_values(self, twice, rat, pi_exp):
-        # gamma_half returns the rational part; the value carries sqrt(pi)
-        # exactly when the argument is odd
-        assert gamma_half(twice) == rat
-        assert type(gamma_half(twice)) is Fraction
+        # gamma_half returns the rational part as two ints, the denominator
+        # positive; the value carries sqrt(pi) exactly when the argument is odd
+        p, q = gamma_half(twice)
+        assert type(p) is int and type(q) is int and q > 0
+        assert Fraction(p, q) == rat == rational_part(twice)
         assert twice % 2 == pi_exp
 
     @pytest.mark.parametrize("twice", [0, -2, -4])
@@ -78,7 +131,7 @@ class TestGammaHalf:
 
     def test_product_and_quotient(self):
         # Gamma(1/2)^2 = pi, carried as sqrt(pi)^2
-        assert gamma_half(1) * gamma_half(1) == 1
+        assert Fraction(*gamma_half(1)) ** 2 == 1
         with pytest.raises(NonRationalError, match=r"sqrt\(pi\)\^2,"):
             gamma_quotient([1, 1], [])
         assert gamma_quotient([3], [1]) == Fraction(1, 2)
@@ -90,7 +143,8 @@ class TestGammaHalf:
     @settings(max_examples=100)
     def test_recurrence(self, twice):
         """Gamma(q+1) = q * Gamma(q)."""
-        assert gamma_half(twice + 2) == Fraction(twice, 2) * gamma_half(twice)
+        assert Fraction(*gamma_half(twice + 2)) == (Fraction(twice, 2)
+                                                    * Fraction(*gamma_half(twice)))
 
     @given(st.lists(st.integers(min_value=-15, max_value=25).filter(
                lambda t: t % 2 != 0), min_size=0, max_size=6),
@@ -101,14 +155,9 @@ class TestGammaHalf:
         """Each half-odd-integer Gamma carries exactly one sqrt(pi); the
         power of a quotient is the count difference, and gamma_quotient
         returns the product of the rational parts exactly when it cancels."""
-        rational_part = Fraction(1)
-        for t in nums:
-            rational_part *= gamma_half(t)
-        for t in dens:
-            rational_part /= gamma_half(t)
         if len(nums) == len(dens):
             value = gamma_quotient(nums, dens)
-            assert isinstance(value, Fraction) and value == rational_part
+            assert isinstance(value, Fraction) and value == parts_quotient(nums, dens)
         else:
             power = len(nums) - len(dens)
             with pytest.raises(NonRationalError, match=rf"sqrt\(pi\)\^{power},"):
@@ -201,7 +250,8 @@ class TestThmRhs:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_is_morris_form_at_b_minus_half(self, n):
         # thm_rhs = 2^e times the Morris product at b = -1/2, the product
-        # transcribed here with gamma_half alone; a = 0 gives 0 on both sides
+        # transcribed here with the recurrence's rational parts; a = 0 gives
+        # 0 on both sides
         for a in range(5):
             for twoc in range(1, 5):
                 e = 2 * a * n + twoc * n * (n - 1) - 2 * n
@@ -219,9 +269,4 @@ def _morris_at_half_b(n, a, twoc):
         return Fraction(0)
     # one sqrt(pi) per odd argument: the counts must cancel for a rational value
     assert sum(t % 2 for t in num) == sum(t % 2 for t in den)
-    acc = Fraction(1)
-    for t in num:
-        acc *= gamma_half(t)
-    for t in den:
-        acc /= gamma_half(t)
-    return acc / factorial(n)
+    return parts_quotient(num, den) / factorial(n)

@@ -295,6 +295,9 @@ class TestText:
         ("x1*x1 - x1^2", Poly.zero()),
         ("1/2*x1 + 1/2*x1 - x1", Poly.zero()),
         ("x1 - x1 + 3 + x1", 3 + x1),
+        ("007/2 - x1", Fraction(7, 2) - x1),
+        ("-2/3 - x1", Fraction(-2, 3) - x1),
+        ("3/6*x1", Fraction(1, 2) * x1),  # == compares the content, here 1/2
     ])
     def test_parse(self, text, p):
         assert parse_poly(text) == p
