@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional, Tuple
 
 from .contour import (
     QuadratureConfig,
-    _chain_origin,
     chain_spread,
     chain_values,
     contour_ct_converged,
@@ -77,8 +75,6 @@ def _report_line(report, fmt: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise CTForgeError(f"--jobs must be at least 1, got {args.jobs}")
     if args.grid:
         given = [name for name in ("family", "n", "a", "b", "twoc", "order")
                  if getattr(args, name) is not None]
@@ -94,13 +90,7 @@ def _cmd_verify(args) -> int:
     else:
         specs = [_spec_from_args(args)]
     order = _parse_order(args.order)
-    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~2 MB; only --jobs needs it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(verify, specs))
-    else:
-        reports = [verify(spec, order=order) for spec in specs]
+    reports = [verify(spec, order=order) for spec in specs]
     all_equal = True
     for report in reports:
         print(_report_line(report, args.format))
@@ -121,22 +111,21 @@ def _cmd_ct(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = _spec_from_args(args)
-    epsilon = args.epsilon if args.epsilon is not None else default_epsilon(spec.n)
     fine, points, is_converged = contour_ct_converged(
-        spec, epsilon, 1e-6, start_points=args.points, max_points=2 * args.points)
+        spec, start_points=args.points, max_points=2 * args.points)
     if args.format == "json":
         print(json.dumps({"re": fine.real, "im": fine.imag, "N": points,
-                          "epsilon": epsilon, "converged": is_converged}))
+                          "converged": is_converged}))
     else:
         print(f"{spec}: re={fine.real!r} im={fine.imag!r} N={points} "
-              f"epsilon={epsilon} converged={'yes' if is_converged else 'no'}")
+              f"converged={'yes' if is_converged else 'no'}")
     return 0 if is_converged else 1
 
 
 def _cmd_chain(args) -> int:
-    epsilon = args.epsilon if args.epsilon is not None else default_epsilon(args.n, shifted=True)
-    cfg = QuadratureConfig(epsilon, args.points)
-    _chain_origin(args.n, args.a, args.twoc, epsilon)  # refuse what chain_values would, first
+    cfg = QuadratureConfig(default_epsilon(args.n, shifted=True), args.points)
+    # refuse what chain_values would, before the closed form is computed
+    IdentitySpec.create("thm", args.n, a=args.a, twoc=args.twoc)
     exact = thm_rhs(args.n, args.a, args.twoc)
     try:  # before sampling, so an overflowing closed form is named as such
         exact_float = float(exact)
@@ -155,15 +144,13 @@ def _cmd_chain(args) -> int:
             "vs_exact": worst_vs_exact,
             "exact": str(exact),
             "N": cfg.points,
-            "epsilon": epsilon,
             "within_tolerance": ok,
         }))
     else:
         for form, v in values.items():
             print(f"  {form}: re={v.real!r} im={v.imag!r}")
         print(f"pairwise spread={spread:.3e} vs exact {exact}: {worst_vs_exact:.3e} "
-              f"N={cfg.points} epsilon={epsilon} -> "
-              f"{'within tolerance' if ok else 'OUT OF TOLERANCE'}")
+              f"N={cfg.points} -> {'within tolerance' if ok else 'OUT OF TOLERANCE'}")
     return 0 if ok else 1
 
 
@@ -202,7 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_spec_flags(p)
     p.add_argument("--order", help="extraction order as 1-based comma list, e.g. 2,1")
     p.add_argument("--grid", help="JSON file with a list of identity specs")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for --grid")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -214,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="numeric contour estimate of an identity")
     add_spec_flags(p)
-    p.add_argument("--epsilon", type=float, help="base contour radius (default 0.05/n)")
     p.add_argument("--points", type=int, default=1024,
                    help="samples per circle; the estimate is refined at twice this")
     add_format(p)
@@ -224,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--twoc", type=int, required=True)
-    p.add_argument("--epsilon", type=float, help="base radius (default 0.0125/n)")
     p.add_argument("--points", type=int, default=1024)
     add_format(p)
     p.set_defaults(func=_cmd_chain)

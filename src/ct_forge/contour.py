@@ -19,8 +19,9 @@ and one dot when it is the pair triangle (i,j), (i,k), (j,k) of every
 n = 3 family integrand and chain form, or else by one np.einsum.
 chain_values hands each form's arrays to the next form, so a chain call
 allocates its N**2 pair arrays once, not once per form.
-Grids over _SAMPLE_BUDGET points are refused, and no sample warns or
-raises past the float64 range: a mean that is not finite is the signal.
+Grids over _SAMPLE_BUDGET points, and arrays over _ARRAY_ELEMS elements,
+are refused before any array is built, and no sample warns or raises past
+the float64 range: a mean that is not finite is the signal.
 Only the sampling functions import numpy, so importing this module (as the
 CLI does for every subcommand) starts no BLAS threads.
 
@@ -56,6 +57,9 @@ if TYPE_CHECKING:
 
 # The most grid points a sample may cover: n = 3 at N = 2048, a default oracle's top.
 _SAMPLE_BUDGET = 2 ** 33
+# The most elements one array of a sample may hold (1 GiB of complex128): N**k
+# for a factor in k variables, so N = 2**13 with pair factors, 2**26 without.
+_ARRAY_ELEMS = 2 ** 26
 # The largest einsum intermediate (32 MB): the N**3 tensors that route n = 4 at
 # N = 128 through BLAS, ~20x faster than einsum's one loop over all N**4 points.
 _EINSUM_ELEMS = 2 ** 21
@@ -115,11 +119,20 @@ def _check_budget(n: int, *grids: int) -> None:
                               f"samples, over the budget of {_SAMPLE_BUDGET}")
 
 
+def _widest_axes(f: FactoredRational) -> int:
+    """k, the most variables in one polynomial of f (at least 1, for the
+    circle's own N points): a sample of f holds arrays of up to N**k elements."""
+    return max([1, len(f.num.variables())] + [len(base.variables()) for base, _ in f.den])
+
+
 def _sample(f: FactoredRational, radii: Sequence[float], points: int,
             coarse: bool = False, spare: Optional[dict] = None):
     """Mean of f over the product grid, the package's one float evaluator
     (see the module notes); a half-integer power takes the principal square
     root of its base, in the right half-plane, after the integer powers.
+    Arrays of points**_widest_axes(f) elements past _ARRAY_ELEMS are
+    refused after the grid budget; k <= n, so k is read off f only when
+    the whole grid, points**n, passes that bound too.
     With coarse, returns (mean over the even points, mean over all); the
     even points are the grid of points // 2, whose budget is checked first.
     spare maps array shapes to arrays an earlier call left: each product
@@ -128,6 +141,9 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     n = len(radii)
     grids = (points // 2, points) if coarse else (points,)
     _check_budget(n, *grids)
+    if points ** n > _ARRAY_ELEMS and points ** (k := _widest_axes(f)) > _ARRAY_ELEMS:
+        raise ConfigError(f"N={points} needs arrays of N**k = {points}**{k} elements, "
+                          f"over the bound of {_ARRAY_ELEMS} per array")
     unit = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
     xs = [(r * unit).reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
           for j, r in enumerate(radii)]
@@ -279,9 +295,10 @@ def contour_ct_converged(
     <= tol (32 at tol 1e-6); pole orders can need more, which comparing N
     with 2N finds.  Raises ConfigError unless max_points = start_points *
     2**k, k >= 1, when the expansion rule cannot hold on either torus, when
-    an estimate leaves the float64 range, or past _SAMPLE_BUDGET, the one
-    bound on n: on a 2-vCPU VM n=5 takes 6 s at N=64, and the dearest calls
-    it admits, cry n=8 at N=16 and n=11 at N=8, about 60 and 90 s."""
+    an estimate leaves the float64 range, past _ARRAY_ELEMS, or past
+    _SAMPLE_BUDGET, the one bound on n: on a 2-vCPU VM n=5 takes 6 s at
+    N=64, and the dearest calls it admits, cry n=8 at N=16 and n=11 at
+    N=8, about 60 and 90 s."""
     if not (tol > 0):
         raise ConfigError("tolerance must be positive")
     if epsilon is None:
@@ -344,12 +361,6 @@ def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, FactoredRational]:
     }
 
 
-def _chain_origin(n: int, a: int, twoc: int, epsilon: float) -> List[float]:
-    """The chain's origin radii, once the thm catalog row accepts n, a and twoc."""
-    IdentitySpec.create("thm", n, a=a, twoc=twoc)
-    return _origin_radii(n, epsilon)
-
-
 def chain_values(n: int, a: int, twoc: int,
                  cfg: QuadratureConfig) -> Dict[str, complex]:
     """Quadrature estimates of the four substitution-chain forms of the thm
@@ -360,8 +371,9 @@ def chain_values(n: int, a: int, twoc: int,
     contour_ct_converged; each form is sampled at cfg.points per circle on
     the torus _chosen_radii reads off its factors.
     Raises ConfigError, naming the form, when its mean leaves the float64
-    range, or past _SAMPLE_BUDGET, the one bound on n."""
-    origin = _chain_origin(n, a, twoc, cfg.epsilon)
+    range, and past _SAMPLE_BUDGET, the one bound on n, or _ARRAY_ELEMS."""
+    IdentitySpec.create("thm", n, a=a, twoc=twoc)
+    origin = _origin_radii(n, cfg.epsilon)
     out: Dict[str, complex] = {}
     spare: dict = {}  # each form's arrays, for the next form's products
     for form, f in _chain_forms(n, a, twoc).items():

@@ -14,7 +14,7 @@ import pytest
 
 from ct_forge import contour
 from ct_forge.cli import main
-from ct_forge.contour import contour_ct_converged, default_epsilon
+from ct_forge.contour import contour_ct_converged
 from ct_forge.identities import IdentitySpec
 
 
@@ -35,11 +35,27 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_child(args, **env):
+    """A fresh interpreter on args, with the package's src on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 TOP_USAGE = "usage: ct-forge [-h] {verify,ct,oracle,chain,gamma-check} ...\n"
 VERIFY_USAGE = (
     "usage: ct-forge verify [-h] [--family {cry,mm,morris,thm}] [--n N] [--a A]\n"
     "                       [--b B] [--twoc TWOC] [--order ORDER] [--grid GRID]\n"
-    "                       [--jobs JOBS] [--format {text,json}]\n")
+    "                       [--format {text,json}]\n")
+ORACLE_USAGE = (
+    "usage: ct-forge oracle [-h] [--family {cry,mm,morris,thm}] [--n N] [--a A]\n"
+    "                       [--b B] [--twoc TWOC] [--points POINTS]\n"
+    "                       [--format {text,json}]\n")
+CHAIN_USAGE = (
+    "usage: ct-forge chain [-h] --n N --a A --twoc TWOC [--points POINTS]\n"
+    "                      [--format {text,json}]\n")
 
 
 class TestUsageErrors:
@@ -66,7 +82,15 @@ class TestUsageErrors:
          VERIFY_USAGE + "ct-forge verify: error: argument --n: invalid int value: 'x'\n"),
         (["ct"], "usage: ct-forge ct [-h] [--order ORDER] [--format {text,json}] spec_file\n"
          "ct-forge ct: error: the following arguments are required: spec_file\n"),
-    ], ids=["leftover", "bad-int", "missing-positional"])
+        # options the CLI does not take: named under the top-level usage too
+        (["verify", "--family", "mm", "--n", "2", "--jobs", "2"],
+         TOP_USAGE + "ct-forge: error: unrecognized arguments: --jobs 2\n"),
+        (["oracle", "--family", "cry", "--n", "2", "--epsilon", "0.01"],
+         TOP_USAGE + "ct-forge: error: unrecognized arguments: --epsilon 0.01\n"),
+        (["chain", "--n", "2", "--a", "2", "--twoc", "1", "--epsilon", "0.01"],
+         TOP_USAGE + "ct-forge: error: unrecognized arguments: --epsilon 0.01\n"),
+    ], ids=["leftover", "bad-int", "missing-positional", "verify-jobs", "oracle-epsilon",
+            "chain-epsilon"])
     def test_usage_error_lines(self, capsys, argv, err):
         assert run(capsys, argv) == (2, "", err)
 
@@ -97,7 +121,31 @@ options:
   --twoc TWOC
   --order ORDER         extraction order as 1-based comma list, e.g. 2,1
   --grid GRID           JSON file with a list of identity specs
-  --jobs JOBS           parallel workers for --grid
+  --format {text,json}
+""", "")
+
+    def test_oracle_help(self, capsys):
+        assert run(capsys, ["oracle", "--help"]) == (0, ORACLE_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --family {cry,mm,morris,thm}
+  --n N
+  --a A
+  --b B
+  --twoc TWOC
+  --points POINTS       samples per circle; the estimate is refined at twice
+                        this
+  --format {text,json}
+""", "")
+
+    def test_chain_help(self, capsys):
+        assert run(capsys, ["chain", "--help"]) == (0, CHAIN_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --a A
+  --twoc TWOC
+  --points POINTS
   --format {text,json}
 """, "")
 
@@ -108,11 +156,6 @@ options:
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, ["verify", "--family", "qjacobi", "--n", "2"])
         assert code == 2
-
-    def test_jobs_below_one_without_grid(self, capsys):
-        code, out, err = run(capsys, ["verify", "--family", "mm", "--n", "2",
-                                      "--jobs", "0"])
-        assert code == 2 and out == "" and "--jobs" in err
 
     def test_conflicting_pin(self, capsys):
         code, _, err = run(capsys, ["verify", "--family", "cry", "--n", "2", "--a", "3"])
@@ -191,7 +234,7 @@ class TestGrid:
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps(self.GRID))
         code, out, _ = run(capsys, ["verify", "--grid", str(grid_file),
-                                    "--format", "json", "--jobs", "2"])
+                                    "--format", "json"])
         assert code == 0
         payloads = [json.loads(line) for line in out.strip().splitlines()]
         assert [p["spec"]["family"] for p in payloads] == ["MM", "CRY", "MORRIS", "THM"]
@@ -203,21 +246,13 @@ class TestGrid:
         code, _, err = run(capsys, ["verify", "--grid", str(grid_file)])
         assert code == 2
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_empty_grid(self, capsys, tmp_path, jobs):
-        # an empty grid is refused, not reported as every instance verifying
+    @pytest.mark.parametrize("fmt", ["text", "json"], ids=["1", "2"])
+    def test_empty_grid(self, capsys, tmp_path, fmt):
+        # an empty grid is refused in either format, not reported as every instance verifying
         grid_file = tmp_path / "grid.json"
         grid_file.write_text("[]")
-        code, out, err = run(capsys, ["verify", "--grid", str(grid_file), "--jobs", jobs])
+        code, out, err = run(capsys, ["verify", "--grid", str(grid_file), "--format", fmt])
         assert (code, out, err) == (2, "", "error: --grid file lists no specs\n")
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one(self, capsys, tmp_path, jobs):
-        grid_file = tmp_path / "grid.json"
-        grid_file.write_text(json.dumps(self.GRID[:1]))
-        code, out, err = run(capsys, ["verify", "--grid", str(grid_file),
-                                      "--jobs", jobs])
-        assert code == 2 and out == "" and "--jobs" in err
 
     @pytest.mark.parametrize("entry", [
         {"family": "mm", "n": True}, {"family": "morris", "n": 2, "a": True},
@@ -432,9 +467,8 @@ class TestOracle:
                                     "--points", "64", "--format", "json"])
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"re", "im", "N", "epsilon", "converged"}
+        assert set(payload) == {"re", "im", "N", "converged"}
         assert payload["N"] == 128 and payload["converged"] is True
-        assert payload["epsilon"] == 0.025
         assert abs(payload["re"] - 2.0) < 1e-6
 
     def test_unconverged_exit(self, capsys):
@@ -446,8 +480,8 @@ class TestOracle:
                                                  ("morris", 3, 64)])
     def test_is_the_converged_oracle(self, capsys, family, n, points):
         spec = IdentitySpec.create(family, n)
-        value, used, ok = contour_ct_converged(spec, default_epsilon(n), 1e-6,
-                                               points, 2 * points)
+        value, used, ok = contour_ct_converged(spec, start_points=points,
+                                               max_points=2 * points)
         code, out, _ = run(capsys, ["oracle", "--family", family, "--n", str(n),
                                     "--points", str(points), "--format", "json"])
         payload = json.loads(out)
@@ -518,11 +552,6 @@ class TestChain:
     def test_config_error(self, capsys):
         code, _, err = run(capsys, ["chain", "--n", "4", "--a", "1", "--twoc", "1"])
         assert code == 2
-        # the parameters are refused before the closed form is computed, so
-        # an overflowing one does not hide the reason
-        code, out, err = run(capsys, ["chain", "--n", "1", "--a", "600", "--twoc", "1",
-                                      "--epsilon", "0.2"])
-        assert (code, out) == (2, "") and "n*epsilon = 0.2000 must stay below 0.1" in err
 
     def test_n4_meets_the_budget(self, capsys):
         code, out, err = run(capsys, ["chain", "--n", "4", "--a", "2", "--twoc", "1"])
@@ -577,6 +606,29 @@ class TestChain:
         assert err == "error: the z form for n=1 a=513 twoc=1 exceeds the float64 range\n"
 
 
+class TestArrayBound:
+    """A sample's arrays are refused by size before any is built.  Each call
+    runs in a child process capped at 2 GiB of address space, so one that
+    did allocate its 32 or 64 GiB array would fail there at once."""
+
+    CAPPED = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from ct_forge.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.parametrize("argv,points,k", [
+        # oracle refines at twice --points; its pair factors span two axes
+        (["oracle", "--family", "cry", "--n", "2", "--points", "32768"], 65536, 2),
+        (["chain", "--n", "1", "--a", "2", "--twoc", "1", "--points", "4294967296"],
+         4294967296, 1)], ids=["oracle", "chain"])
+    def test_refused_before_allocating(self, argv, points, k):
+        # one BLAS thread: numpy's per-thread buffers also count against the cap
+        proc = run_child(["-c", self.CAPPED, *argv], OPENBLAS_NUM_THREADS="1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: N={points} needs arrays of N**k = {points}**{k} elements, "
+            "over the bound of 67108864 per array\n")
+
+
 class TestGammaCheck:
     def test_default_range(self, capsys):
         code, out, _ = run(capsys, ["gamma-check"])
@@ -602,11 +654,7 @@ class TestRepeatedCalls:
     @staticmethod
     def lone(argv):
         """(exit code, stdout) of argv in a fresh interpreter."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-m", "ct_forge.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_child(["-m", "ct_forge.cli", *argv])
         return proc.returncode, proc.stdout
 
     def test_no_flag_leaks_between_calls(self, capsys, tmp_path):

@@ -360,6 +360,34 @@ class TestContraction:
         assert ok and rel_err(value, rhs(spec)) < 1e-6
 
 
+class TestArrayBound:
+    """A sample's widest arrays hold N**k elements, k the most variables in
+    one polynomial of the integrand.  The refusals themselves run in a
+    memory-capped child process (test_cli.TestArrayBound)."""
+
+    @pytest.mark.parametrize("f,k", [
+        (build_integrand(IdentitySpec.create("cry", 1)), 1),
+        (build_integrand(IdentitySpec.create("mm", 3)), 2),
+        (contour._chain_forms(1, 2, 1)["y"], 1),
+        (contour._chain_forms(3, 2, 2)["z"], 2),
+        (FactoredRational.create(parse_poly("1 + x1*x2*x3"), [(parse_poly("2 - x1"), 1)]), 3),
+        (FactoredRational.create(Poly.constant(3), []), 1)],
+        ids=["cry1", "mm3", "chain1-y", "chain3-z", "numerator", "constant"])
+    def test_widest_axes(self, f, k):
+        assert contour._widest_axes(f) == k
+
+    def test_read_only_past_the_whole_grid_bound(self, monkeypatch):
+        """k <= n, so k is read off f only when points**n passes the bound:
+        the acceptance grid and the chain at N = 128 never read it."""
+        def unread(f):
+            raise AssertionError("k was read")
+
+        monkeypatch.setattr(contour, "_widest_axes", unread)
+        value, points, ok = contour_ct_converged(IdentitySpec.create("thm", 3, a=3, twoc=2))
+        assert ok and points == 128
+        chain_values(3, 2, 2, QuadratureConfig(default_epsilon(3, shifted=True), 128))
+
+
 class TestChosenTorus:
     @pytest.mark.parametrize("family", ["cry", "mm", "morris", "thm"])
     def test_radii_from_factors(self, family):

@@ -1,11 +1,13 @@
 """Layout rules for src/ct_forge.
 
 Every top-level import must be relative (the package itself), a
-standard-library module, or numpy; imports inside functions are not
-checked.  Every public top-level function and class, and every public
-method of a public class, must be used by the package itself, not only by
-tests; a method counts as used when the package reads its name.  No module
-reads an environment variable: limits are constants or arguments.
+standard-library module, or numpy.  No import, at any depth, names a
+concurrency module: the package runs in one thread of one process.  cli
+imports no underscore name from another package module.  Every public
+top-level function and class, and every public method of a public class,
+must be used by the package itself, not only by tests; a method counts as
+used when the package reads its name.  No module reads an environment
+variable: limits are constants or arguments.
 """
 
 import ast
@@ -16,6 +18,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ct_forge"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+CONCURRENCY = {"asyncio", "concurrent", "multiprocessing", "threading"}
 MODULES = [ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
 PUBLIC_CLASSES = [node for tree in MODULES for node in tree.body
@@ -28,9 +31,13 @@ USED = {node.id if isinstance(node, ast.Name) else node.attr
         if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def _top_level_imports(path: Path):
-    """(line, module) for each absolute import at the top of a module."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imports(nodes):
+    """(line, module) for each absolute import among nodes."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name
@@ -41,9 +48,25 @@ def _top_level_imports(path: Path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_are_stdlib_numpy_or_relative(path):
     foreign = [f"{path.name}:{line} imports {module}"
-               for line, module in _top_level_imports(path)
+               for line, module in _imports(_tree(path).body)
                if module.split(".")[0] not in ALLOWED]
     assert not foreign, foreign
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_concurrency_module_is_imported(path):
+    concurrent = [f"{path.name}:{line} imports {module}"
+                  for line, module in _imports(ast.walk(_tree(path)))
+                  if module.split(".")[0] in CONCURRENCY]
+    assert not concurrent, concurrent
+
+
+def test_cli_imports_no_private_name():
+    private = [f"cli.py:{node.lineno} imports {alias.name}"
+               for node in ast.walk(_tree(SRC / "cli.py"))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, private
 
 
 def test_every_public_name_is_used_in_the_package():
