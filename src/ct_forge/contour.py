@@ -25,12 +25,12 @@ the float64 range: a mean that is not finite is the signal.
 Only the sampling functions import numpy, so importing this module (as the
 CLI does for every subcommand) starts no BLAS threads.
 
-contour_ct_converged checks the origin torus r_j = j*epsilon the caller
-states (n*epsilon < 0.1) and samples a torus whose radii are read
-off the integrand's factors (see _chosen_radii): as wide as the expansion
-domain allows, which keeps the mean |f|, and with it the float64 noise
-floor, small while the error still decays like 0.5**N, and so the
-N-doubling starts where 0.5**N meets the tolerance.
+contour_ct_converged samples a torus whose radii are read off the
+integrand's factors (see _chosen_radii): inside the domain where the exact
+engine's series converge, so the mean is the engine's constant term, and
+as wide as that domain allows, which keeps the mean |f|, and with it the
+float64 noise floor, small while the error still decays like 0.5**N, and
+so the N-doubling starts where 0.5**N meets the tolerance.
 
 The module also evaluates the four-form substitution chain for the thm
 family.  Written in u = w - centre, with the measure u_j and the form's
@@ -67,7 +67,8 @@ _EINSUM_ELEMS = 2 ** 21
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Base radius epsilon and per-circle sample count (a power of two)."""
+    """Per-circle sample count (a power of two), and an epsilon that must
+    be positive and, for n variables, below 0.1/n; it selects no sample."""
 
     epsilon: float = 0.025
     points: int = 1024
@@ -80,8 +81,8 @@ class QuadratureConfig:
 
 
 def default_epsilon(n: int, shifted: bool = False) -> float:
-    """Default base radius: 0.05/n for the oracle's origin torus, 0.0125/n
-    for the chain's."""
+    """An epsilon inside the n*epsilon < 0.1 window: 0.05/n, or 0.0125/n
+    shifted, the chain's."""
     if n < 1:
         raise ConfigError(f"n must be at least 1, got n={n}")
     return (0.0125 if shifted else 0.05) / n
@@ -103,13 +104,12 @@ def _poly_on_grid(p: Poly, xs: Sequence[np.ndarray]):
     return np.asarray(0j if total is None else total)
 
 
-def _origin_radii(n: int, epsilon: float) -> List[float]:
-    """Radii j*epsilon of the caller's origin torus, refused unless n*epsilon < 0.1."""
+def _check_epsilon(n: int, epsilon: float) -> None:
+    """Refuse an epsilon outside the window n*epsilon < 0.1."""
     if n * epsilon >= 0.1:
         raise ConfigError(
             f"n*epsilon = {n * epsilon:.4f} must stay below 0.1 so every "
             "circle avoids the non-origin poles")
-    return [j * epsilon for j in range(1, n + 1)]
 
 
 def _check_budget(n: int, *grids: int) -> None:
@@ -244,26 +244,19 @@ def _h0_floor(h0: Sequence[Tuple[float, float]], radii: Dict[float, float]) -> f
     return lead * radii.get(last, 1.0) - sum(c * radii[w] for w, c in rest)
 
 
-def _chosen_radii(f: FactoredRational, origin: Sequence[float]) -> List[float]:
-    """Radii for contour_ct_converged and the chain, read off f's factors.
+def _chosen_radii(f: FactoredRational, n: int) -> List[float]:
+    """Radii r_1..r_n for contour_ct_converged and the chain, read off f's
+    factors.
 
     From the outermost variable inwards, each r_v is the largest radius at
     which every condition headed by v has ratio |h1| r_v / min |h0| at most
     _TORUS_RATIO, or 1 if none is; for the built-in families this gives
-    r_j = 0.5**(n - j + 1).  The origin torus must satisfy the same
-    conditions.  Both then lie in the convex set the linear conditions cut
-    out, the straight path between them stays in it, and by Cauchy's
-    theorem both give the same constant term.  Raises ConfigError for a
-    non-affine factor or when the origin torus breaks a condition; the
-    chosen radii always meet them, since the conditions on a base's later
-    terms keep each of its h0 floors above zero."""
+    r_j = 0.5**(n - j + 1).  The conditions on a base's later terms keep
+    each of its h0 floors above zero, so the radii meet every condition
+    under which ct_var's series converge, and the mean of f on this torus
+    is the engine's constant term.  Raises ConfigError for a non-affine
+    factor."""
     conditions = _expansion_conditions(f)
-    origin_radii = dict(enumerate(origin))
-    for (v, h1), *h0 in conditions:
-        floor = _h0_floor(h0, origin_radii)
-        if not (floor > 0 and h1 * origin_radii[v] < floor):
-            raise ConfigError(
-                f"the origin torus leaves the expansion domain at x{v + 1}")
     # A condition's h0 holds only variables after its head, and each of those
     # but the last heads conditions of its own, so from the outermost head
     # inwards every radius a floor reads is final when it is read.
@@ -271,7 +264,7 @@ def _chosen_radii(f: FactoredRational, origin: Sequence[float]) -> List[float]:
     for (v, h1), *h0 in sorted(conditions, reverse=True):
         r = _TORUS_RATIO * _h0_floor(h0, radii) / h1
         radii[v] = min(r, radii.get(v, r))
-    return [radii.get(v, 1.0) for v in range(len(origin))]
+    return [radii.get(v, 1.0) for v in range(n)]
 
 
 def contour_ct_converged(
@@ -284,21 +277,20 @@ def contour_ct_converged(
     returns (estimate, points, converged).  Each step evaluates the factors
     once, at 2N; the first takes its N estimate from the even points.
 
-    epsilon states the origin torus |x_j| = j*epsilon (default 0.05/n),
-    refused unless n*epsilon < 0.1.  The samples are taken on the torus
-    _chosen_radii reads off the integrand's factors: every affine base
-    h0 + h1*v, v its first-eliminated variable, keeps max |h1*v / h0| below
-    1 on it, and so does every h0 in turn.  That is the condition under
-    which ct_var's geometric series converge, and the origin torus meets it
-    too, so both tori have the same constant term.
+    The samples are taken on the torus _chosen_radii reads off the
+    integrand's factors: every affine base h0 + h1*v, v its
+    first-eliminated variable, keeps max |h1*v / h0| below 1 on it, and so
+    does every h0 in turn.  That is the condition under which ct_var's
+    geometric series converge, so the mean on that torus is the engine's
+    constant term.  epsilon (default 0.05/n) selects no sample; it is
+    refused unless n*epsilon < 0.1.
     start_points defaults to the least power of two N with _TORUS_RATIO**N
     <= tol (32 at tol 1e-6); pole orders can need more, which comparing N
     with 2N finds.  Raises ConfigError unless max_points = start_points *
-    2**k, k >= 1, when the expansion rule cannot hold on either torus, when
-    an estimate leaves the float64 range, past _ARRAY_ELEMS, or past
-    _SAMPLE_BUDGET, the one bound on n: on a 2-vCPU VM n=5 takes 6 s at
-    N=64, and the dearest calls it admits, cry n=8 at N=16 and n=11 at
-    N=8, about 60 and 90 s."""
+    2**k, k >= 1, for a non-affine factor, when an estimate leaves the
+    float64 range, past _ARRAY_ELEMS, or past _SAMPLE_BUDGET, the one
+    bound on n: on a 2-vCPU VM n=5 takes 6 s at N=64, and the dearest
+    calls it admits, cry n=8 at N=16 and n=11 at N=8, about 60 and 90 s."""
     if not (tol > 0):
         raise ConfigError("tolerance must be positive")
     if epsilon is None:
@@ -312,10 +304,10 @@ def contour_ct_converged(
     if rest or ratio < 2 or ratio & (ratio - 1):
         raise ConfigError(f"max_points={max_points} must be start_points="
                           f"{start_points} times a power of two >= 2")
-    origin = _origin_radii(spec.n, epsilon)
+    _check_epsilon(spec.n, epsilon)
     _check_budget(spec.n, points, 2 * points)  # the first step's, before building f
     f = build_integrand(spec)
-    radii = _chosen_radii(f, origin)
+    radii = _chosen_radii(f, spec.n)
     points *= 2
     value, nxt = _sample(f, radii, points, coarse=True)
     while cmath.isfinite(nxt) and not converged(value, nxt, tol):
@@ -366,18 +358,20 @@ def chain_values(n: int, a: int, twoc: int,
     """Quadrature estimates of the four substitution-chain forms of the thm
     constant term, keyed "x", "z", "y", "t"; in exact arithmetic all equal.
 
-    cfg.epsilon states each form's origin torus |u_j| = j*epsilon, refused
-    outside n*epsilon < 0.1 and required to meet the expansion rule, as in
-    contour_ct_converged; each form is sampled at cfg.points per circle on
-    the torus _chosen_radii reads off its factors.
+    Each form is sampled at cfg.points per circle on the torus
+    _chosen_radii reads off its factors, where its mean is its constant
+    term, as in contour_ct_converged; cfg.epsilon selects no sample and is
+    refused outside n*epsilon < 0.1.
     Raises ConfigError, naming the form, when its mean leaves the float64
-    range, and past _SAMPLE_BUDGET, the one bound on n, or _ARRAY_ELEMS."""
+    range, and past _SAMPLE_BUDGET, the one bound on n, before any form is
+    built, or _ARRAY_ELEMS."""
     IdentitySpec.create("thm", n, a=a, twoc=twoc)
-    origin = _origin_radii(n, cfg.epsilon)
+    _check_epsilon(n, cfg.epsilon)
+    _check_budget(n, cfg.points)
     out: Dict[str, complex] = {}
     spare: dict = {}  # each form's arrays, for the next form's products
     for form, f in _chain_forms(n, a, twoc).items():
-        value = _sample(f, _chosen_radii(f, origin), cfg.points, spare=spare)
+        value = _sample(f, _chosen_radii(f, n), cfg.points, spare=spare)
         if not cmath.isfinite(value):
             raise ConfigError(f"the {form} form for n={n} a={a} twoc={twoc} "
                               "exceeds the float64 range")

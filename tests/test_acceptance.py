@@ -19,7 +19,6 @@ from ct_forge.contour import (
     chain_values,
     contour_ct_converged,
     default_epsilon,
-    _origin_radii,
     _sample,
 )
 from ct_forge.ctengine import (
@@ -131,17 +130,16 @@ def all_grid_specs_n_le_3():
 
 
 def test_criterion_7_oracle_agreement(capsys):
-    # The base radius is 0.0999/n, the top of the allowed window: it states
-    # the origin torus |x_j| = j*epsilon, which contour_ct_converged checks
-    # against the engine's expansion domain before it samples the torus it
-    # reads off the integrand's factors (radii 0.5**(n-j+1)).
+    # contour_ct_converged samples the torus it reads off the integrand's
+    # factors (radii 0.5**(n-j+1)), inside the engine's expansion domain.
     #
-    # On the origin torus itself the n=3, a=1, b=2, twoc=2 instance has
-    # exact value 300, about eleven orders of magnitude below the
-    # integrand's mean magnitude there, and a relative float64 noise floor
-    # near 7e-6 at any N, above the 1e-6 tolerance.  The wider chosen torus
-    # brings that mean magnitude down, so the instance converges at N=64
-    # to about 5e-14 (see README.md, "Numerical accuracy of the oracle").
+    # On the origin torus |x_j| = j*epsilon, epsilon = 0.0999/n, the n=3,
+    # a=1, b=2, twoc=2 instance has exact value 300, about eleven orders of
+    # magnitude below the integrand's mean magnitude there, and a relative
+    # float64 noise floor near 7e-6 at any N, above the 1e-6 tolerance.
+    # The wider chosen torus brings that mean magnitude down, so the
+    # instance converges at N=64 to about 5e-14 (see README.md, "Numerical
+    # accuracy of the oracle").
     specs = all_grid_specs_n_le_3()
     start = time.perf_counter()
     worst_rel = 0.0
@@ -150,7 +148,7 @@ def test_criterion_7_oracle_agreement(capsys):
     for spec in specs:
         exact = ct_iterated(build_integrand(spec))
         value, points, is_converged = contour_ct_converged(
-            spec, epsilon=0.0999 / spec.n, tol=1e-6, max_points=1024)
+            spec, tol=1e-6, max_points=1024)
         rel = abs(value.real - float(exact)) / max(1.0, abs(float(exact)))
         imag = abs(value.imag) / max(1.0, abs(value.real))
         worst_rel = max(worst_rel, rel)
@@ -242,7 +240,8 @@ def _prop_coeff_reconstruction(rng):
 
 def _origin_ct(spec, epsilon, points):
     """The mean of the spec's integrand over the origin torus |x_j| = j*epsilon."""
-    return _sample(build_integrand(spec), _origin_radii(spec.n, epsilon), points)
+    return _sample(build_integrand(spec), [j * epsilon for j in range(1, spec.n + 1)],
+                   points)
 
 
 def _prop_epsilon_independence(rng):

@@ -19,8 +19,10 @@ from ct_forge.contour import (
     chain_spread,
     chain_values,
     contour_ct_converged,
+    _TORUS_RATIO,
     _chosen_radii,
-    _origin_radii,
+    _expansion_conditions,
+    _h0_floor,
     _sample,
     converged,
     default_epsilon,
@@ -39,7 +41,8 @@ def rel_err(value: complex, exact) -> float:
 
 def origin_ct(spec: IdentitySpec, epsilon: float, points: int) -> complex:
     """The mean of the spec's integrand over the origin torus |x_j| = j*epsilon."""
-    return _sample(build_integrand(spec), _origin_radii(spec.n, epsilon), points)
+    return _sample(build_integrand(spec), [j * epsilon for j in range(1, spec.n + 1)],
+                   points)
 
 
 class TestQuadratureConfig:
@@ -202,7 +205,7 @@ class TestNestedGrid:
         IdentitySpec.create("thm", 3, a=3, twoc=2)])  # converges at N=128
     def test_coarse_mean_is_the_half_grid_sample(self, spec, points):
         f = build_integrand(spec)
-        radii = _chosen_radii(f, _origin_radii(spec.n, 0.0999 / spec.n))
+        radii = _chosen_radii(f, spec.n)
         coarse, fine = _sample(f, radii, 2 * points, coarse=True)
         assert coarse == _sample(f, radii, points)
         assert fine == _sample(f, radii, 2 * points)
@@ -392,21 +395,45 @@ class TestChosenTorus:
     @pytest.mark.parametrize("family", ["cry", "mm", "morris", "thm"])
     def test_radii_from_factors(self, family):
         f = build_integrand(IdentitySpec.create(family, 3))
-        assert _chosen_radii(f, [0.01, 0.02, 0.03]) == pytest.approx([0.125, 0.25, 0.5])
+        assert _chosen_radii(f, 3) == pytest.approx([0.125, 0.25, 0.5])
 
     def test_unconstrained_variable_gets_unit_radius(self):
         f = build_integrand(IdentitySpec.create("morris", 2, a=0, b=1))
-        assert _chosen_radii(f, [0.02, 0.04]) == pytest.approx([0.5, 1.0])
-
-    def test_origin_torus_outside_domain(self):
-        f = FactoredRational.create(Poly.one(), [(parse_poly("1 - 20*x1"), 1)])
-        with pytest.raises(ConfigError):
-            _chosen_radii(f, [0.09])
+        assert _chosen_radii(f, 2) == pytest.approx([0.5, 1.0])
 
     def test_non_affine_factor(self):
         f = FactoredRational.create(Poly.one(), [(parse_poly("1 - x1*x2"), 1)])
         with pytest.raises(ConfigError):
-            _chosen_radii(f, [0.01, 0.02])
+            _chosen_radii(f, 2)
+
+    FAMILIES = [("mm", {}), ("cry", {})]
+    FAMILIES += [("morris", {"a": a, "b": b, "twoc": twoc})
+                 for a in (1, 2, 3) for b in (0, 1, 2) for twoc in (1, 2)]
+    FAMILIES += [("thm", {"a": a, "twoc": twoc}) for a in (1, 2, 3) for twoc in (1, 2)]
+
+    @staticmethod
+    def assert_inside_domain(f, n, label):
+        """Every convergence condition of ct_var's series holds on the
+        chosen torus: a positive h0 floor, and |h1| r_v / floor at most
+        _TORUS_RATIO, up to rounding."""
+        radii = dict(enumerate(_chosen_radii(f, n)))
+        for (v, h1), *h0 in _expansion_conditions(f):
+            floor = _h0_floor(h0, radii)
+            assert floor > 0, (label, v)
+            assert h1 * radii[v] / floor <= _TORUS_RATIO * (1 + 1e-12), (label, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_family_torus_inside_domain(self, n):
+        for family, kwargs in self.FAMILIES:
+            spec = IdentitySpec.create(family, n, **kwargs)
+            self.assert_inside_domain(build_integrand(spec), n, str(spec))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chain_torus_inside_domain(self, n):
+        for a in (1, 2, 3):
+            for twoc in (1, 2):
+                for form, f in contour._chain_forms(n, a, twoc).items():
+                    self.assert_inside_domain(f, n, (a, twoc, form))
 
 
 class TestEpsilonIndependence:
@@ -481,10 +508,9 @@ class TestChain:
         """chain_values hands each form's arrays to the next form; every
         value equals the form sampled on its own, bit for bit."""
         cfg = QuadratureConfig(default_epsilon(n, shifted=True), 32)
-        origin = _origin_radii(n, cfg.epsilon)
         for a in (1, 2, 3):
             for twoc in (1, 2):
-                alone = {form: _sample(f, _chosen_radii(f, origin), cfg.points)
+                alone = {form: _sample(f, _chosen_radii(f, n), cfg.points)
                          for form, f in contour._chain_forms(n, a, twoc).items()}
                 assert chain_values(n, a, twoc, cfg) == alone, (a, twoc)
 
@@ -527,6 +553,15 @@ class TestChain:
             chain_values(2, 0, 1, cfg)
         with pytest.raises(ConfigError):
             chain_values(2, 2, 1, QuadratureConfig(0.07, 64))
+
+    def test_budget_refused_before_the_forms(self, monkeypatch):
+        """An over-budget grid is refused before any form is built."""
+        def unbuilt(n, a, twoc):
+            raise AssertionError("_chain_forms called")
+
+        monkeypatch.setattr(contour, "_chain_forms", unbuilt)
+        with pytest.raises(ConfigError, match="over the budget"):
+            chain_values(40, 2, 1, QuadratureConfig(0.0125 / 40, 2))
 
     def test_spread_of_identical_values(self):
         vals = {form: 5.0 + 0j for form in "xzyt"}
