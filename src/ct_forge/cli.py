@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .contour import (
     QuadratureConfig,
@@ -169,11 +169,17 @@ def _cmd_gamma_check(args) -> int:
     return 0 if all_ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="ct-forge",
         description="exact and numeric verification of constant-term identities")
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers: Dict[str, argparse.ArgumentParser] = {}
+
+    def add_subparser(name, text, func):
+        p = subparsers[name] = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
 
     def add_spec_flags(p):
         p.add_argument("--family", choices=[f.value for f in IdentityFamily])
@@ -185,50 +191,50 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("verify", help="exact check of an identity instance")
+    p = add_subparser("verify", "exact check of an identity instance", _cmd_verify)
     add_spec_flags(p)
     p.add_argument("--order", help="extraction order as 1-based comma list, e.g. 2,1")
     p.add_argument("--grid", help="JSON file with a list of identity specs")
     add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("ct", help="exact constant term of a factored rational")
+    p = add_subparser("ct", "exact constant term of a factored rational", _cmd_ct)
     p.add_argument("spec_file", help="JSON file: {\"num\": ..., \"den\": [[poly, exp], ...]}")
     p.add_argument("--order", help="extraction order as 1-based comma list")
     add_format(p)
-    p.set_defaults(func=_cmd_ct)
 
-    p = sub.add_parser("oracle", help="numeric contour estimate of an identity")
+    p = add_subparser("oracle", "numeric contour estimate of an identity", _cmd_oracle)
     add_spec_flags(p)
     p.add_argument("--points", type=int, default=1024,
                    help="samples per circle; the estimate is refined at twice this")
     add_format(p)
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("chain", help="numeric check of the substitution chain")
+    p = add_subparser("chain", "numeric check of the substitution chain", _cmd_chain)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--twoc", type=int, required=True)
     p.add_argument("--points", type=int, default=1024)
     add_format(p)
-    p.set_defaults(func=_cmd_chain)
 
-    p = sub.add_parser("gamma-check", help="exact Gamma-product identity checks")
+    p = add_subparser("gamma-check", "exact Gamma-product identity checks", _cmd_gamma_check)
     p.add_argument("--n", type=int, default=10, help="check 1..n (default 10)")
     add_format(p)
-    p.set_defaults(func=_cmd_gamma_check)
 
-    return parser
+    return parser, subparsers
 
 
 # Built once: each add_argument reads the terminal size and the gettext
-# catalog, and parse_args keeps no state between calls.
-_PARSER = _build_parser()
+# catalog, and parse_args keeps no state between calls.  An argv that starts
+# with a subcommand goes to that subcommand's parser alone, not through both.
+_PARSER, _SUBPARSERS = _build_parser()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(argv)
+        sub = _SUBPARSERS.get(argv[0]) if argv else None
+        args, extra = sub.parse_known_args(argv[1:]) if sub else (_PARSER.parse_args(argv), [])
+        if extra:  # named under the top-level usage, as the top-level parse names them
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -364,7 +364,7 @@ def _coerce(value) -> "Poly":
 _FACTOR = r"(?:\d+(?:/\d+)?|x\d+(?:\s*(?:\^|\*\*)\s*\d+)?)"
 _TERM_RE = re.compile(
     rf"\s*((?:[+-]\s*)*)({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*(?:\*\s*\Z)?")
-_FACTOR_RE = re.compile(r"x(\d+)(?:\s*(?:\^|\*\*)\s*(\d+))?|(\d+(?:/\d+)?)")
+_FACTOR_RE = re.compile(r"x(\d+)(?:\s*(?:\^|\*\*)\s*(\d+))?|(\d+)(?:/(\d+))?")
 
 
 def parse_poly(text: str) -> Poly:
@@ -377,15 +377,16 @@ def parse_poly(text: str) -> Poly:
         m = _TERM_RE.match(text, pos)
         if m is None or (pos and not m.group(1)):
             raise ParseError(f"malformed polynomial at {pos}: {text[pos:pos + 20]!r}")
-        coef = -1 if m.group(1).count("-") % 2 else 1
+        num, den = -1 if m.group(1).count("-") % 2 else 1, 1
         exps: Dict[int, int] = {}
-        for var, exp, num in _FACTOR_RE.findall(m.group(2)):
-            if num:
-                coef *= Fraction(num) if "/" in num else int(num)
+        for var, exp, p, q in _FACTOR_RE.findall(m.group(2)):
+            if p:
+                num *= int(p)
+                den *= int(q or 1) or Fraction(int(p), 0)  # p/0 raises as Fraction("p/0") does
             elif not 1 <= int(var) <= _VARS:
                 raise ParseError(f"bad variable x{var}")
             else:
                 exps[int(var) - 1] = exps.get(int(var) - 1, 0) + int(exp or 1)
-        terms.append((_pack(exps.items()), coef))
+        terms.append((_pack(exps.items()), Fraction(num, den) if den > 1 else num))
         pos = m.end()
     return Poly._raw(*_from_rationals(terms))

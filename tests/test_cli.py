@@ -89,10 +89,45 @@ class TestUsageErrors:
          TOP_USAGE + "ct-forge: error: unrecognized arguments: --epsilon 0.01\n"),
         (["chain", "--n", "2", "--a", "2", "--twoc", "1", "--epsilon", "0.01"],
          TOP_USAGE + "ct-forge: error: unrecognized arguments: --epsilon 0.01\n"),
+        # words a subcommand does not take, also after "--", and argv the
+        # top-level parser reads itself: an option first, a name in capitals
+        (["verify", "--family", "mm", "--n", "2", "extra"],
+         TOP_USAGE + "ct-forge: error: unrecognized arguments: extra\n"),
+        (["gamma-check", "--n", "3", "extra"],
+         TOP_USAGE + "ct-forge: error: unrecognized arguments: extra\n"),
+        (["--bogus", "verify"], TOP_USAGE + "ct-forge: error: unrecognized arguments: --bogus\n"),
+        (["verify", "--", "--n", "2"],
+         TOP_USAGE + "ct-forge: error: unrecognized arguments: -- --n 2\n"),
+        (["VERIFY"], TOP_USAGE + "ct-forge: error: argument command: invalid choice: 'VERIFY' "
+         "(choose from 'verify', 'ct', 'oracle', 'chain', 'gamma-check')\n"),
     ], ids=["leftover", "bad-int", "missing-positional", "verify-jobs", "oracle-epsilon",
-            "chain-epsilon"])
+            "chain-epsilon", "verify-extra", "gamma-check-extra", "option-first",
+            "double-dash", "capitals"])
     def test_usage_error_lines(self, capsys, argv, err):
         assert run(capsys, argv) == (2, "", err)
+
+    def test_help_after_flags(self, capsys):
+        # -h after a whole spec still prints the subcommand's help and exits 0
+        code, out, err = run(capsys, ["verify", "--family", "mm", "--n", "2", "-h"])
+        assert (code, out, err) == run(capsys, ["verify", "--help"])
+        assert code == 0 and out.startswith(VERIFY_USAGE + "\noptions:\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--fam", "mm", "--n", "2"],
+        ["verify", "--family=mm", "--n=2"],
+    ], ids=["abbreviated", "equals"])
+    def test_flag_spellings(self, capsys, argv):
+        def masked(result):
+            code, out, err = result
+            return code, re.sub(r"\(\d+\.\d ms\)", "(_ ms)", out), err
+
+        full = masked(run(capsys, ["verify", "--family", "mm", "--n", "2"]))
+        assert full == (0, "mm n=2 a=2 b=0 twoc=1: lhs=32 rhs=32 equal (_ ms)\n", "")
+        assert masked(run(capsys, argv)) == full
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["ct-forge", "gamma-check", "--n", "2"])
+        assert run(capsys, None) == (0, "n=1: cat=ok ratio=ok\nn=2: cat=ok ratio=ok\n", "")
 
     def test_help(self, capsys):
         assert run(capsys, ["--help"]) == (0, TOP_USAGE + """

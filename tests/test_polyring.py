@@ -1,5 +1,6 @@
 """Tests for the sparse polynomial ring, its parser, and its renderer."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,9 @@ class TestText:
         ("007/2 - x1", Fraction(7, 2) - x1),
         ("-2/3 - x1", Fraction(-2, 3) - x1),
         ("3/6*x1", Fraction(1, 2) * x1),  # == compares the content, here 1/2
+        ("2/3*x1*3/4", Fraction(1, 2) * x1),  # two rationals in one term
+        ("0/7*x1 + x2", x2),
+        ("18446744073709551617/3*x1", Fraction(2**64 + 1, 3) * x1),
     ])
     def test_parse(self, text, p):
         assert parse_poly(text) == p
@@ -314,3 +318,16 @@ class TestText:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             parse_poly(text)
+
+    def test_zero_denominator_names_its_factor(self):
+        # the CLI prints this message in its malformed-object error
+        with pytest.raises(ZeroDivisionError, match=r"^Fraction\(1, 0\)$"):
+            parse_poly("2*1/0*x1")
+
+    @pytest.mark.parametrize("suffix", ["", "/3"])
+    def test_coefficient_past_the_int_digit_limit(self, suffix):
+        digits = "7" * 5000
+        with pytest.raises(ValueError) as limit:
+            int(digits)  # the interpreter's limit on decimal text, 4300 digits by default
+        with pytest.raises(ValueError, match=f"^{re.escape(str(limit.value))}$"):
+            parse_poly(f"{digits}{suffix}*x1")
