@@ -10,6 +10,10 @@ in an annulus around every circle, so the error decays geometrically in
 the per-circle sample count N, and halving is checked by comparing N
 against 2N rather than by any error expansion.  The N grid is the even
 points of the 2N grid, so each doubling step evaluates the factors once.
+Coefficients and radii are real, and a half power's principal root has
+sqrt(conj z) = conj sqrt(z) in the right half-plane, so the angle indices
+k and -k (on every circle at once) give conjugate values and the mean is
+real: circle 1 is sampled at k = 0..N/2 only, weighted 1, 2, ..., 2, 1.
 
 _sample never forms the whole N**n grid: each factor is evaluated on the
 axes of its own variables, the factors on one axis set are multiplied in
@@ -134,7 +138,9 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
     refused after the grid budget; k <= n, so k is read off f only when
     the whole grid, points**n, passes that bound too.
     With coarse, returns (mean over the even points, mean over all); the
-    even points are the grid of points // 2, whose budget is checked first.
+    even points are the grid of points // 2, whose budget is checked first;
+    on circle 1 they are that grid's own half circle, with weights[::2].
+    The mean is the real part of the weighted sum, once that sum is finite.
     spare maps array shapes to arrays an earlier call left: each product
     starts in one of the same shape, if any, and the call leaves its own."""
     import numpy as np
@@ -145,9 +151,12 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
         raise ConfigError(f"N={points} needs arrays of N**k = {points}**{k} elements, "
                           f"over the bound of {_ARRAY_ELEMS} per array")
     unit = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
-    xs = [(r * unit).reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
+    half = points // 2 + 1  # circle 1 keeps k = 0..N/2 (see the module notes)
+    xs = [(r * (unit if j else unit[:half])).reshape((1,) * j + (-1,) + (1,) * (n - 1 - j))
           for j, r in enumerate(radii)]
-    num, den = {}, {}  # axes -> product of the factors on exactly those axes
+    weights = np.full((half,) + (1,) * (n - 1), 2 + 0j)
+    weights[0] = weights[-1] = 1  # k = 0 and N/2 are their own conjugates
+    num, den = {(0,): weights}, {}  # axes -> product of the factors on exactly those axes
     spare = {} if spare is None else spare
 
     def put(group, p, times=1):
@@ -190,7 +199,7 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
         means = []
         for grid in grids:
             step = (slice(None, None, points // grid),)
-            tensors = {axes: vals.reshape((points,) * len(axes))[step * len(axes)]
+            tensors = {axes: vals.reshape([vals.shape[j] for j in axes])[step * len(axes)]
                        for axes, vals in groups.items()}
             if len(tensors) == 1:
                 total = tensors.popitem()[1].sum()
@@ -200,7 +209,8 @@ def _sample(f: FactoredRational, radii: Sequence[float], points: int,
             else:
                 operands = [x for axes, t in tensors.items() for x in (t, list(axes))]
                 total = np.einsum(*operands, [], optimize=("greedy", _EINSUM_ELEMS))
-            means.append(complex(total) / grid ** len(covered))
+            mean = complex(total) / grid ** len(covered)  # real when finite
+            means.append(complex(mean.real) if cmath.isfinite(mean) else mean)
         spare.update((vals.shape, vals) for vals in groups.values())
     return tuple(means) if coarse else means[0]
 

@@ -506,6 +506,15 @@ class TestOracle:
         assert payload["N"] == 128 and payload["converged"] is True
         assert abs(payload["re"] - 2.0) < 1e-6
 
+    def test_imaginary_part_is_zero(self, capsys):
+        """The mean of a real-coefficient integrand on a real torus is real."""
+        argv = ["oracle", "--family", "thm", "--n", "3", "--a", "2", "--twoc", "2",
+                "--points", "64"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and " im=0.0 N=128 " in out
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0 and '"im": 0.0,' in out and json.loads(out)["im"] == 0.0
+
     def test_unconverged_exit(self, capsys):
         code, out, _ = run(capsys, ["oracle", "--family", "mm", "--n", "2",
                                     "--points", "2"])
@@ -578,6 +587,15 @@ class TestChain:
         assert payload["exact"] == "32"
         assert payload["within_tolerance"] is True
         assert payload["spread"] < 1e-5
+
+    def test_imaginary_parts_are_zero(self, capsys):
+        argv = ["chain", "--n", "3", "--a", "2", "--twoc", "1", "--points", "32"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert [line.split("im=")[1] for line in out.splitlines()[:4]] == ["0.0"] * 4
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        assert code == 0 and out.count('"im": 0.0}') == 4
+        assert [v["im"] for v in json.loads(out)["forms"].values()] == [0.0] * 4
 
     def test_undersampled_exit(self, capsys):
         code, out, _ = run(capsys, ["chain", "--n", "2", "--a", "3", "--twoc", "2",

@@ -45,6 +45,47 @@ def origin_ct(spec: IdentitySpec, epsilon: float, points: int) -> complex:
                    points)
 
 
+def brute_force_mean(integrand, radii, points):
+    """The plain mean of integrand(x1, ..., xn) over all points**n grid
+    points; no symmetry of the integrand is used."""
+    angles = 2 * np.pi * np.arange(points) / points
+    xs = np.meshgrid(*(r * np.exp(1j * angles) for r in radii), indexing="ij")
+    return np.mean(integrand(*xs))
+
+
+def full_grid_mean(f, radii, points):
+    """f on the whole grid, a half power by the principal square root."""
+    def at(p, xs):
+        return sum(complex(coef) * math.prod(xs[v] ** e for v, e in mono)
+                   for mono, coef in p.terms())
+
+    def power(vals, e):
+        return vals ** e if isinstance(e, int) else np.sqrt(vals) ** e.numerator
+
+    def integrand(*xs):
+        return at(f.num, xs) / math.prod(power(at(base, xs), e) for base, e in f.den)
+    return brute_force_mean(integrand, radii, points)
+
+
+def assert_full_grid_mean(f, radii, points, label=None):
+    """_sample, which takes circle 1 at k = 0..N/2 only, is the mean over
+    the whole grid at rel 1e-12, and exactly real."""
+    value = _sample(f, radii, points)
+    expected = full_grid_mean(f, radii, points)
+    assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected)), label
+    assert value.imag == 0.0, label
+
+
+FAMILIES = [("mm", {}), ("cry", {})]
+FAMILIES += [("morris", {"a": a, "b": b, "twoc": twoc})
+             for a in (1, 2, 3) for b in (0, 1, 2) for twoc in (1, 2)]
+FAMILIES += [("thm", {"a": a, "twoc": twoc}) for a in (1, 2, 3) for twoc in (1, 2)]
+# acceptance criterion 7's 77 instances, and the 18 chain instances (n, a, twoc)
+CRITERION_7 = [IdentitySpec.create(family, n, **kwargs) for n in (1, 2, 3)
+               for family, kwargs in FAMILIES if (family, n) != ("mm", 1)]
+CHAIN_GRID = [(n, a, twoc) for n in (1, 2, 3) for a in (1, 2, 3) for twoc in (1, 2)]
+
+
 class TestQuadratureConfig:
     def test_defaults(self):
         cfg = QuadratureConfig()
@@ -197,18 +238,22 @@ class TestNestedGrid:
     """The N grid is the even points of the 2N grid, so the coarse mean of
     one evaluation at 2N is the N sample itself, bit for bit."""
 
-    @pytest.mark.parametrize("points", [32, 64])
+    @pytest.mark.parametrize("points", [2, 4, 32, 64])
     @pytest.mark.parametrize("spec", [
         IdentitySpec.create("cry", 1),
         IdentitySpec.create("mm", 2),
         IdentitySpec.create("morris", 3, a=1, b=2, twoc=2),
         IdentitySpec.create("thm", 3, a=3, twoc=2)])  # converges at N=128
     def test_coarse_mean_is_the_half_grid_sample(self, spec, points):
+        """The even points of circle 1's k = 0..N are its k = 0..N/2 at N,
+        with the weights w[::2]; at N = 2 that is k = 0 and N/2 alone."""
         f = build_integrand(spec)
         radii = _chosen_radii(f, spec.n)
         coarse, fine = _sample(f, radii, 2 * points, coarse=True)
         assert coarse == _sample(f, radii, points)
         assert fine == _sample(f, radii, 2 * points)
+        expected = full_grid_mean(f, radii, points)
+        assert abs(coarse - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 class TestContraction:
@@ -219,23 +264,10 @@ class TestContraction:
     POINTS = 16
 
     def brute_force_mean(self, integrand):
-        angles = 2 * np.pi * np.arange(self.POINTS) / self.POINTS
-        x1, x2, x3 = np.meshgrid(*(r * np.exp(1j * angles) for r in self.RADII),
-                                 indexing="ij")
-        return np.mean(integrand(x1, x2, x3))
+        return brute_force_mean(integrand, self.RADII, self.POINTS)
 
     def full_grid_mean(self, f):
-        """f on the whole grid, a half power by the principal square root."""
-        def at(p, xs):
-            return sum(complex(coef) * math.prod(xs[v] ** e for v, e in mono)
-                       for mono, coef in p.terms())
-
-        def power(vals, e):
-            return vals ** e if isinstance(e, int) else np.sqrt(vals) ** e.numerator
-
-        def integrand(*xs):
-            return at(f.num, xs) / math.prod(power(at(base, xs), e) for base, e in f.den)
-        return self.brute_force_mean(integrand)
+        return full_grid_mean(f, self.RADII, self.POINTS)
 
     @pytest.fixture
     def einsum_calls(self, monkeypatch):
@@ -327,11 +359,30 @@ class TestContraction:
             assert _sample(f, radii, points, spare=spare) == _sample(f, radii, points)
             assert spare
 
-    def test_uncovered_axis(self):
-        """A variable no factor involves still counts N points per circle."""
-        f = FactoredRational.create(parse_poly("2 + x1"), [(parse_poly("3 - x2"), 1)])
-        expected = self.brute_force_mean(lambda x1, x2, x3: (2 + x1) / (3 - x2) + 0 * x3)
-        assert _sample(f, self.RADII, self.POINTS) == pytest.approx(expected, abs=1e-14)
+    @pytest.mark.parametrize("num,den,integrand", [
+        ("2 + x1", [("3 - x2", 1)], lambda x1, x2, x3: (2 + x1) / (3 - x2) + 0 * x3),
+        ("1 + x2*x3", [("3 - x2", 2)],
+         lambda x1, x2, x3: (1 + x2 * x3) / (3 - x2) ** 2 + 0 * x1),
+        ("3 + x1 + 2*x1^2", [], lambda x1, x2, x3: 3 + x1 + 2 * x1 ** 2 + 0 * x2 + 0 * x3)],
+        ids=["no-x3", "no-x1", "x1-numerator-only"])
+    def test_uncovered_axis(self, num, den, integrand):
+        """A variable no factor involves still counts N points per circle;
+        with no factor in x1, circle 1's weights alone sum to N."""
+        f = FactoredRational.create(parse_poly(num),
+                                    [(parse_poly(base), e) for base, e in den])
+        value = _sample(f, self.RADII, self.POINTS)
+        assert value == pytest.approx(self.brute_force_mean(integrand), abs=1e-14)
+        assert value.imag == 0.0
+
+    @pytest.mark.parametrize("spec", CRITERION_7, ids=str)
+    def test_half_circle_on_the_criterion_7_grid(self, spec):
+        f = build_integrand(spec)
+        assert_full_grid_mean(f, _chosen_radii(f, spec.n), 8)
+
+    @pytest.mark.parametrize("n,a,twoc", CHAIN_GRID)
+    def test_half_circle_on_the_chain_forms(self, n, a, twoc):
+        for form, f in contour._chain_forms(n, a, twoc).items():
+            assert_full_grid_mean(f, _chosen_radii(f, n), 8, form)
 
     def test_root_leaving_right_half_plane(self):
         f = FactoredRational.create(Poly.one(), [(parse_poly("2 - x1"), 1),
@@ -406,11 +457,6 @@ class TestChosenTorus:
         with pytest.raises(ConfigError):
             _chosen_radii(f, 2)
 
-    FAMILIES = [("mm", {}), ("cry", {})]
-    FAMILIES += [("morris", {"a": a, "b": b, "twoc": twoc})
-                 for a in (1, 2, 3) for b in (0, 1, 2) for twoc in (1, 2)]
-    FAMILIES += [("thm", {"a": a, "twoc": twoc}) for a in (1, 2, 3) for twoc in (1, 2)]
-
     @staticmethod
     def assert_inside_domain(f, n, label):
         """Every convergence condition of ct_var's series holds on the
@@ -424,7 +470,7 @@ class TestChosenTorus:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_family_torus_inside_domain(self, n):
-        for family, kwargs in self.FAMILIES:
+        for family, kwargs in FAMILIES:
             spec = IdentitySpec.create(family, n, **kwargs)
             self.assert_inside_domain(build_integrand(spec), n, str(spec))
 
