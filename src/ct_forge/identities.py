@@ -232,9 +232,4 @@ def spec_from_json(obj: dict) -> IdentitySpec:
     params = {key: obj[key] for key in ("a", "b", "twoc") if key in obj}
     if nulls := [key for key, value in params.items() if value is None]:
         raise ParseError(f"null value for {', '.join(nulls)} in identity spec")
-    try:
-        return IdentitySpec.create(obj["family"], obj["n"], **params)
-    except DomainError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed identity spec: {exc}") from exc
+    return IdentitySpec.create(obj["family"], obj["n"], **params)

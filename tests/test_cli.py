@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -680,6 +681,23 @@ class TestArrayBound:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"error: N={points} needs arrays of N**k = {points}**{k} elements, "
             "over the bound of 67108864 per array\n")
+
+    def test_refused_in_process(self, capsys, monkeypatch):
+        """The same refusal in this process: no factor is evaluated, and the
+        traced peak stays far below one 16384**2 complex array (4 GiB)."""
+        def unevaluated(p, xs):
+            raise AssertionError("a factor was evaluated on the grid")
+
+        monkeypatch.setattr(contour, "_poly_on_grid", unevaluated)
+        tracemalloc.start()
+        try:
+            result = run(capsys, ["oracle", "--family", "mm", "--n", "2", "--points", "8192"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (2, "", "error: N=16384 needs arrays of N**k = 16384**2 elements, "
+                                 "over the bound of 67108864 per array\n")
+        assert peak < 32 << 20
 
 
 class TestGammaCheck:

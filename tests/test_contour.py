@@ -91,9 +91,7 @@ class TestQuadratureConfig:
         cfg = QuadratureConfig()
         assert cfg.epsilon == 0.025 and cfg.points == 1024
 
-    @pytest.mark.parametrize("eps,points", [
-        (0.0, 64), (-0.1, 64), (0.01, 0), (0.01, 1), (0.01, 100),
-    ])
+    @pytest.mark.parametrize("eps,points", [(0.01, 0), (0.01, 1), (0.01, 100)])
     def test_validation(self, eps, points):
         with pytest.raises(ConfigError):
             QuadratureConfig(eps, points)
@@ -127,10 +125,6 @@ class TestContourCt:
     def test_morris_n2(self):
         value = origin_ct(IdentitySpec.create("morris", 2), 0.02, 1024)
         assert rel_err(value, 2) < 1e-6
-
-    def test_radius_guard(self):
-        with pytest.raises(ConfigError, match="n\\*epsilon = 0.1020"):
-            contour_ct_converged(IdentitySpec.create("morris", 3), epsilon=0.034)
 
     def test_variable_cap(self, monkeypatch):
         """No variable count is refused, only the sample budget; a first
@@ -166,9 +160,16 @@ class TestContourCt:
         assert rel_err(value, 300) < 1e-6
         assert abs(value.imag) < 1e-6
 
-    def test_converged_radius_guard(self):
-        with pytest.raises(ConfigError):
-            contour_ct_converged(IdentitySpec.create("cry", 2), epsilon=0.05)
+    def test_epsilon_selects_nothing(self):
+        """epsilon is neither read nor refused: the n*epsilon = 0.102 that
+        was once refused gives the same tuple as no epsilon."""
+        spec = IdentitySpec.create("morris", 3)
+        assert contour_ct_converged(spec, epsilon=0.034) == contour_ct_converged(spec)
+
+    def test_estimates_are_floats(self):
+        for spec in CRITERION_7:
+            value, _, _ = contour_ct_converged(spec, max_points=1024)
+            assert type(value) is float, spec
 
     @pytest.mark.parametrize("start,top", [(64, 100), (64, 64), (64, 32), (None, 48), (64, 192)])
     def test_max_points_must_double_the_start(self, start, top):
@@ -597,8 +598,17 @@ class TestChain:
             chain_values(0, 2, 1, cfg)
         with pytest.raises(DomainError, match="thm requires a >= 1"):
             chain_values(2, 0, 1, cfg)
-        with pytest.raises(ConfigError):
-            chain_values(2, 2, 1, QuadratureConfig(0.07, 64))
+
+    def test_epsilon_selects_nothing(self):
+        """QuadratureConfig()'s epsilon, 0.025, was once refused at n = 4;
+        it gives the same values as the chain command's epsilon."""
+        assert chain_values(4, 1, 1, QuadratureConfig(points=16)) == chain_values(
+            4, 1, 1, QuadratureConfig(default_epsilon(4, shifted=True), 16))
+
+    def test_values_are_floats(self):
+        for n, a, twoc in CHAIN_GRID:
+            values = chain_values(n, a, twoc, QuadratureConfig(points=32))
+            assert all(type(v) is float for v in values.values()), (n, a, twoc)
 
     def test_budget_refused_before_the_forms(self, monkeypatch):
         """An over-budget grid is refused before any form is built."""
@@ -610,6 +620,6 @@ class TestChain:
             chain_values(40, 2, 1, QuadratureConfig(0.0125 / 40, 2))
 
     def test_spread_of_identical_values(self):
-        vals = {form: 5.0 + 0j for form in "xzyt"}
+        vals = {form: 5.0 for form in "xzyt"}
         assert chain_spread(vals) == 0.0
 

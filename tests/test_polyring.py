@@ -75,6 +75,8 @@ class TestConstruction:
             Poly.var(-1)
         with pytest.raises(ValueError):
             Poly({((-1, 1),): 1})
+        with pytest.raises(ValueError, match=r"^bad monomial entry \(0, -1\)$"):
+            Poly({((0, -1),): 1})
 
     def test_hash_consistency(self):
         assert hash(1 - x1) == hash(Poly({(): 1, ((0, 1),): -1}))
