@@ -37,11 +37,11 @@ as wide as that domain allows, which keeps the mean |f|, and with it the
 float64 noise floor, small while the error still decays like 0.5**N, and
 so the N-doubling starts where 0.5**N meets the tolerance.
 
-The module also evaluates the four-form substitution chain for the thm
-family.  Written in u = w - centre, with the measure u_j and the form's
-power-of-two prefactor folded in, each form is a factored rational, the
-y and t forms with half-integer powers of affine bases; it is sampled like
-the integrand of contour_ct_converged, on the torus read off its factors.
+The module also samples the four forms of the thm substitution chain,
+which identities.chain_forms builds as factored rationals, the y and t
+forms with half-integer powers of affine bases: each like the integrand
+of contour_ct_converged, on the torus read off its factors.  The module
+builds no polynomial of its own; it samples what identities hands it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .ctengine import Factor, FactoredRational
+from .ctengine import FactoredRational
 from .errors import ConfigError
-from .identities import IdentitySpec, build_integrand
+from .identities import IdentitySpec, build_integrand, chain_forms
 from .polyring import Poly
 
 if TYPE_CHECKING:
@@ -323,37 +322,6 @@ def contour_ct_converged(
 
 # -- the substitution chain -------------------------------------------------
 
-def _chain_forms(n: int, a: int, twoc: int) -> Dict[str, FactoredRational]:
-    """Each chain form in u = w - centre, with the measure u_j and the
-    prefactor folded in; y has the factors (1 + u_j)**(1/2), t (1 - u_j)**(1/2).
-
-    X is the thm integrand around 0.  x = (1-z)/2 gives Z around 1, where
-    1 - w^2 = -u(2+u) and w_j^2 - w_k^2 = (u_j - u_k)(2 + u_j + u_k);
-    z^2 = y gives Y around 1, and t = 1 - y gives T around 0.  In Z, Y and
-    T the measure u_j cancels into the monomial u_j^a, which leaves an
-    exact constant as the numerator.  Every form writes its pair bases
-    u_k - u_j (j < k), the sign create would give them, so Z and Y carry
-    (-1)**(twoc * C(n, 2)) in their prefactor."""
-    e = 2 * a * n + 2 * twoc * math.comb(n, 2)
-    sign = (-1) ** (n * (a + 1) + twoc * math.comb(n, 2))
-    us = [Poly.var(j) for j in range(n)]
-    pairs = [(us[j], us[k]) for j in range(n) for k in range(j + 1, n)]
-    diffs = [(uk - uj, twoc) for uj, uk in pairs]
-    monomials = [(u, a - 1) for u in us if a > 1]
-    half = Fraction(1, 2)
-
-    def form(scale: int, den: List[Factor]):
-        return FactoredRational.create(Poly.constant(scale), monomials + diffs + den)
-
-    return {
-        "x": build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc)),
-        "z": form(sign * 2 ** (e - n),
-                  [(2 + u, a) for u in us] + [(2 + uj + uk, twoc) for uj, uk in pairs]),
-        "y": form(sign * 2 ** (e - 2 * n), [(1 + u, half) for u in us]),
-        "t": form(2 ** (e - 2 * n), [(1 - u, half) for u in us]),
-    }
-
-
 def chain_values(n: int, a: int, twoc: int,
                  cfg: QuadratureConfig) -> Dict[str, float]:
     """Quadrature estimates of the four substitution-chain forms of the thm
@@ -369,7 +337,7 @@ def chain_values(n: int, a: int, twoc: int,
     _check_budget(n, cfg.points)
     out: Dict[str, float] = {}
     spare: dict = {}  # each form's arrays, for the next form's products
-    for form, f in _chain_forms(n, a, twoc).items():
+    for form, f in chain_forms(n, a, twoc).items():
         value = _sample(f, _chosen_radii(f, n), cfg.points, spare=spare)
         if not math.isfinite(value):
             raise ConfigError(f"the {form} form for n={n} a={a} twoc={twoc} "

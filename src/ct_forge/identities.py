@@ -18,6 +18,9 @@ For the thm family both orientations of the printed statement circulate;
 the orientation here is the one confirmed by the independent series oracle
 at n = 2 (they differ by (-1)^binom(n,2) when twoc is odd).
 
+chain_forms() gives the thm substitution chain x -> z -> y -> t, four forms
+with the thm constant term; _build writes them and every family integrand.
+
 verify() computes the left side with the exact CT engine and the right
 side with the exact Gamma evaluators and compares, exactly.
 """
@@ -28,8 +31,8 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from math import comb, factorial
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .ctengine import FactoredRational, ct_iterated
 from .errors import DomainError, ParseError
@@ -56,9 +59,8 @@ class _Family:
 
     pinned: Dict[str, int]      # fixed parameters; any other explicit value is refused
     defaults: Dict[str, int]    # the free parameters' values when not given
-    # exponents of x_j, (1 - x_j) and each pair factor; 0 drops the factor
-    exponents: Callable[["IdentitySpec"], Tuple[int, int, int]]
-    mixed: bool                 # whether pairs also carry (1 - x_k - x_j)
+    # exponents of x_j, (1 - x_j), each pair (x_k - x_j) and (1 - x_k - x_j); 0 drops the factor
+    exponents: Callable[["IdentitySpec"], Tuple[int, int, int, int]]
     rhs: Callable[["IdentitySpec"], Fraction]
     min_a: int = 0              # the least a the family admits
 
@@ -68,19 +70,19 @@ class _Family:
 _CATALOG = {
     IdentityFamily.CRY: _Family(
         pinned={"a": 2, "b": 0, "twoc": 1}, defaults={},
-        exponents=lambda s: (0, 2, 1), mixed=False,
+        exponents=lambda s: (0, 2, 1, 0),
         rhs=lambda s: catalan_product(s.n)),
     IdentityFamily.MM: _Family(
         pinned={"a": 2, "b": 0, "twoc": 1}, defaults={},
-        exponents=lambda s: (1, 2, 1), mixed=True,
+        exponents=lambda s: (1, 2, 1, 1),
         rhs=lambda s: mm_rhs(s.n)),
     IdentityFamily.MORRIS: _Family(
         pinned={}, defaults={"a": 2, "b": 0, "twoc": 1},
-        exponents=lambda s: (s.b, s.a, s.twoc), mixed=False,
+        exponents=lambda s: (s.b, s.a, s.twoc, 0),
         rhs=lambda s: morris_rhs(s.n, s.a, s.b, s.twoc)),
     IdentityFamily.THM: _Family(
         pinned={"b": 0}, defaults={"a": 2, "twoc": 1},
-        exponents=lambda s: (s.a - 1, s.a, s.twoc), mixed=True,
+        exponents=lambda s: (s.a - 1, s.a, s.twoc, s.twoc),
         rhs=lambda s: thm_rhs(s.n, s.a, s.twoc), min_a=1),
 }
 
@@ -135,26 +137,54 @@ class IdentitySpec:
         return f"{self.family.value} n={self.n} a={self.a} b={self.b} twoc={self.twoc}"
 
 
+def _build(n: int, num: Poly, exps: Tuple[int, Union[int, Fraction], int, int],
+           single: Callable, mixed: Optional[Callable] = None) -> FactoredRational:
+    """num / (prod_j x_j^e1 single(x_j)^e2 prod_{j<k} (x_k - x_j)^e3 mixed(x_j, x_k)^e4),
+    (e1, e2, e3, e4) = exps; an exponent 0 drops its factors."""
+    mono_exp, single_exp, pair_exp, mixed_exp = exps
+    xs = [Poly.var(j) for j in range(n)]
+    factors = []
+    for j, xj in enumerate(xs):
+        if mono_exp:
+            factors.append((xj, mono_exp))
+        if single_exp:
+            factors.append((single(xj), single_exp))
+        for xk in xs[j + 1:]:
+            factors.append((xk - xj, pair_exp))
+            if mixed_exp:
+                factors.append((mixed(xj, xk), mixed_exp))
+    return FactoredRational.create(num, factors)
+
+
 def build_integrand(spec: IdentitySpec) -> FactoredRational:
     """The family integrand as a FactoredRational with numerator 1."""
-    n = spec.n
-    row = _CATALOG[spec.family]
-    mono_exp, one_minus_exp, pair_exp = row.exponents(spec)
     one = Poly.one()
-    factors = []
-    for j in range(n):
-        xj = Poly.var(j)
-        if mono_exp > 0:
-            factors.append((xj, mono_exp))
-        if one_minus_exp > 0:
-            factors.append((one - xj, one_minus_exp))
-    for j in range(n):
-        for k in range(j + 1, n):
-            xj, xk = Poly.var(j), Poly.var(k)
-            factors.append((xk - xj, pair_exp))
-            if row.mixed:
-                factors.append((one - xk - xj, pair_exp))
-    return FactoredRational.create(one, factors)
+    return _build(spec.n, one, _CATALOG[spec.family].exponents(spec),
+                  lambda xj: one - xj, lambda xj, xk: one - xk - xj)
+
+
+def chain_forms(n: int, a: int, twoc: int) -> Dict[str, FactoredRational]:
+    """The four forms of the thm substitution chain, keyed "x", "z", "y",
+    "t", each with the thm constant term; each is written in u = w - centre,
+    with the measure u_j and the prefactor folded in; y has the factors
+    (1 + u_j)**(1/2), t (1 - u_j)**(1/2).
+
+    X is the thm integrand around 0.  x = (1-z)/2 gives Z around 1, where
+    1 - w^2 = -u(2+u) and w_j^2 - w_k^2 = (u_j - u_k)(2 + u_j + u_k);
+    z^2 = y gives Y around 1, and t = 1 - y gives T around 0.  In Z, Y and
+    T the measure u_j cancels into the monomial u_j^a, which leaves an
+    exact constant as the numerator.  Every form writes its pair bases
+    u_k - u_j (j < k), the sign create would give them, so Z and Y carry
+    (-1)**(twoc * C(n, 2)) in their prefactor."""
+    x = build_integrand(IdentitySpec.create("thm", n, a=a, twoc=twoc))
+    e = 2 * a * n + 2 * twoc * comb(n, 2) - 2 * n  # thm_rhs's power of two
+    sign = (-1) ** (n * (a + 1) + twoc * comb(n, 2))
+    rooted = (a - 1, Fraction(1, 2), twoc, 0)  # the y and t forms' exponents
+    return {"x": x,
+            "z": _build(n, Poly.constant(sign * 2 ** (e + n)), (a - 1, a, twoc, twoc),
+                        lambda u: 2 + u, lambda uj, uk: 2 + uj + uk),
+            "y": _build(n, Poly.constant(sign * 2 ** e), rooted, lambda u: 1 + u),
+            "t": _build(n, Poly.constant(2 ** e), rooted, lambda u: 1 - u)}
 
 
 def rhs(spec: IdentitySpec) -> Fraction:

@@ -652,8 +652,8 @@ class TestChain:
 
     def test_prefactor_past_float64(self, capsys, monkeypatch):
         # sampled alone, the z form fails in complex() of its int prefactor
-        forms = contour._chain_forms
-        monkeypatch.setattr(contour, "_chain_forms",
+        forms = contour.chain_forms
+        monkeypatch.setattr(contour, "chain_forms",
                             lambda n, a, twoc: {"z": forms(n, a, twoc)["z"]})
         code, out, err = run(capsys, ["chain", "--n", "1", "--a", "513", "--twoc", "1"])
         assert (code, out) == (2, "")

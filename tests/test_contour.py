@@ -322,7 +322,7 @@ class TestContraction:
     @pytest.mark.parametrize("f", [
         build_integrand(IdentitySpec.create("mm", 3)),
         build_integrand(IdentitySpec.create("thm", 3, a=2, twoc=2)),
-        contour._chain_forms(3, 2, 2)["y"]], ids=["mm", "thm", "chain-y"])
+        contour.chain_forms(3, 2, 2)["y"]], ids=["mm", "thm", "chain-y"])
     def test_pair_triangle(self, f, einsum_calls):
         """The pair groups (i,j), (i,k), (j,k) of every n = 3 family
         integrand and chain form are summed by a matrix product and a dot,
@@ -382,7 +382,7 @@ class TestContraction:
 
     @pytest.mark.parametrize("n,a,twoc", CHAIN_GRID)
     def test_half_circle_on_the_chain_forms(self, n, a, twoc):
-        for form, f in contour._chain_forms(n, a, twoc).items():
+        for form, f in contour.chain_forms(n, a, twoc).items():
             assert_full_grid_mean(f, _chosen_radii(f, n), 8, form)
 
     def test_root_leaving_right_half_plane(self):
@@ -423,8 +423,8 @@ class TestArrayBound:
     @pytest.mark.parametrize("f,k", [
         (build_integrand(IdentitySpec.create("cry", 1)), 1),
         (build_integrand(IdentitySpec.create("mm", 3)), 2),
-        (contour._chain_forms(1, 2, 1)["y"], 1),
-        (contour._chain_forms(3, 2, 2)["z"], 2),
+        (contour.chain_forms(1, 2, 1)["y"], 1),
+        (contour.chain_forms(3, 2, 2)["z"], 2),
         (FactoredRational.create(parse_poly("1 + x1*x2*x3"), [(parse_poly("2 - x1"), 1)]), 3),
         (FactoredRational.create(Poly.constant(3), []), 1)],
         ids=["cry1", "mm3", "chain1-y", "chain3-z", "numerator", "constant"])
@@ -479,7 +479,7 @@ class TestChosenTorus:
     def test_chain_torus_inside_domain(self, n):
         for a in (1, 2, 3):
             for twoc in (1, 2):
-                for form, f in contour._chain_forms(n, a, twoc).items():
+                for form, f in contour.chain_forms(n, a, twoc).items():
                     self.assert_inside_domain(f, n, (a, twoc, form))
 
 
@@ -558,7 +558,7 @@ class TestChain:
         for a in (1, 2, 3):
             for twoc in (1, 2):
                 alone = {form: _sample(f, _chosen_radii(f, n), cfg.points)
-                         for form, f in contour._chain_forms(n, a, twoc).items()}
+                         for form, f in contour.chain_forms(n, a, twoc).items()}
                 assert chain_values(n, a, twoc, cfg) == alone, (a, twoc)
 
     @pytest.mark.parametrize("n,a,twoc", [
@@ -567,13 +567,13 @@ class TestChain:
     def test_exact_forms(self, n, a, twoc):
         """The exact engine takes each form's half powers too, and every
         form's iterated constant term is the closed form."""
-        forms = contour._chain_forms(n, a, twoc)
+        forms = contour.chain_forms(n, a, twoc)
         assert {form: ct_iterated(f) for form, f in forms.items()} == dict.fromkeys(
             "xzyt", thm_rhs(n, a, twoc))
 
     @pytest.mark.parametrize("n,a,twoc", [(2, 1, 1), (3, 2, 1), (3, 3, 2), (4, 2, 2)])
     def test_forms_hand_create_canonical_bases(self, n, a, twoc, monkeypatch):
-        """Every integer-power base _chain_forms passes to create already has
+        """Every integer-power base chain_forms passes to create already has
         the sign create gives it, so create negates none of them."""
         create = FactoredRational.create.__func__
         seen = []
@@ -583,7 +583,7 @@ class TestChain:
             return create(cls, num, den)
 
         monkeypatch.setattr(FactoredRational, "create", classmethod(spy))
-        contour._chain_forms(n, a, twoc)
+        contour.chain_forms(n, a, twoc)
         pairs = [base for base, exp in seen if len(base.variables()) == 2]
         assert len(pairs) >= 3 * math.comb(n, 2)  # at least u_k - u_j in Z, Y and T
         for base, exp in seen:
@@ -613,9 +613,9 @@ class TestChain:
     def test_budget_refused_before_the_forms(self, monkeypatch):
         """An over-budget grid is refused before any form is built."""
         def unbuilt(n, a, twoc):
-            raise AssertionError("_chain_forms called")
+            raise AssertionError("chain_forms called")
 
-        monkeypatch.setattr(contour, "_chain_forms", unbuilt)
+        monkeypatch.setattr(contour, "chain_forms", unbuilt)
         with pytest.raises(ConfigError, match="over the budget"):
             chain_values(40, 2, 1, QuadratureConfig(0.0125 / 40, 2))
 

@@ -7,14 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+import flow_count
 import oracle_series
 from ct_forge import ctengine, polyring
 from ct_forge.ctengine import ct_iterated, ct_var
 from ct_forge.errors import BudgetError, DomainError, ParseError
+from ct_forge.exactarith import mm_rhs, thm_rhs
 from ct_forge.identities import (
     IdentityFamily,
     IdentitySpec,
     build_integrand,
+    chain_forms,
     check_cat_identity,
     check_ratio_identity,
     rhs,
@@ -317,6 +320,37 @@ class TestVerify:
             lhs = ct_iterated(build_integrand(spec))
             assert lhs == oracle_series.series_ct2(p, q, r, w), spec
             assert lhs == rhs(spec), spec
+
+
+# Every family at n <= 4: the parameter grids of acceptance criteria 3 and 4,
+# with morris also at a = 0, carried on to n = 4.
+_FLOW_GRID = [(family, n, {}) for family in ("cry", "mm") for n in (1, 2, 3, 4)]
+_FLOW_GRID += [("morris", n, {"a": a, "b": b, "twoc": twoc}) for n in (1, 2, 3, 4)
+               for a in (0, 1, 2, 3) for b in (0, 1, 2) for twoc in (1, 2)]
+_FLOW_GRID += [("thm", n, {"a": a, "twoc": twoc}) for n in (1, 2, 3, 4)
+               for a in (1, 2, 3) for twoc in (1, 2)]
+
+
+class TestFlowCount:
+    """The exact engine against the weighted flow count of tests/flow_count.py,
+    which shares no code with the package."""
+
+    def test_family_integrands(self):
+        for family, n, kwargs in _FLOW_GRID:
+            spec = IdentitySpec.create(family, n, **kwargs)
+            assert ct_iterated(build_integrand(spec)) == flow_count.family_count(
+                family, n, spec.a, spec.b, spec.twoc), spec
+
+    @pytest.mark.parametrize("n,a,twoc", [
+        (n, a, twoc) for n in (1, 2, 3) for a in (1, 2, 3) for twoc in (1, 2)])
+    def test_chain_t_form(self, n, a, twoc):
+        assert ct_iterated(chain_forms(n, a, twoc)["t"]) == flow_count.thm_count(n, a, twoc)
+
+    def test_t_form_past_the_x_form(self):
+        """The step budget refuses the x form at both instances; the t form,
+        without its mixed pair bases 1 - x_k - x_j, answers in well under 1 s."""
+        assert ct_iterated(chain_forms(8, 2, 1)["t"]) == thm_rhs(8, 2, 1) == mm_rhs(8)
+        assert ct_iterated(chain_forms(7, 2, 2)["t"]) == thm_rhs(7, 2, 2)
 
 
 class TestGammaIdentities:

@@ -3,11 +3,11 @@
 Every top-level import must be relative (the package itself), a
 standard-library module, or numpy.  No import, at any depth, names a
 concurrency module: the package runs in one thread of one process.  cli
-imports no underscore name from another package module.  Every public
-top-level function and class, and every public method of a public class,
-must be used by the package itself, not only by tests; a method counts as
-used when the package reads its name.  No module reads an environment
-variable: limits are constants or arguments.
+imports no underscore name from another package module, and contour builds
+no polynomial.  Every public top-level function and class, and every public
+method of a public class, must be used by the package itself, not only by
+tests; a method counts as used when the package reads its name.  No module
+reads an environment variable: limits are constants or arguments.
 """
 
 import ast
@@ -67,6 +67,18 @@ def test_cli_imports_no_private_name():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert not private, private
+
+
+def test_contour_builds_no_polynomial():
+    """contour samples the factored rationals identities builds: it calls
+    no attribute of Poly or FactoredRational, such as Poly.var or
+    FactoredRational.create."""
+    calls = [f"contour.py:{node.lineno} calls {node.func.value.id}.{node.func.attr}"
+             for node in ast.walk(_tree(SRC / "contour.py"))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in {"Poly", "FactoredRational"}]
+    assert not calls, calls
 
 
 def test_every_public_name_is_used_in_the_package():
