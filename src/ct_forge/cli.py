@@ -242,6 +242,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (CTForgeError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

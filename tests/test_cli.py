@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ct_forge import contour
+from ct_forge import cli, contour
 from ct_forge.cli import main
 from ct_forge.contour import contour_ct_converged
 from ct_forge.identities import IdentitySpec
@@ -698,6 +698,22 @@ class TestArrayBound:
         assert result == (2, "", "error: N=16384 needs arrays of N**k = 16384**2 elements, "
                                  "over the bound of 67108864 per array\n")
         assert peak < 32 << 20
+
+
+class TestOutOfMemory:
+    def test_one_error_line(self, capsys, monkeypatch, tmp_path):
+        """An engine run that runs out of memory exits 2, the code of a
+        refused run, with one error line and no traceback; exit 1 would
+        read as a mismatch."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "ct_iterated", exhausted)
+        monkeypatch.setattr(cli, "verify", exhausted)
+        path = tmp_path / "rational.json"
+        path.write_text('{"num": "1", "den": [["1 - x1", 2]]}')
+        for argv in (["verify", "--family", "cry", "--n", "30"], ["ct", str(path)]):
+            assert run(capsys, argv) == (2, "", "error: out of memory\n"), argv
 
 
 class TestGammaCheck:

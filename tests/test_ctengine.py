@@ -1,7 +1,8 @@
 """Tests for the exact constant-term engine.
 
-The consistency class checks the engine against the brute-force series
-oracle in tests/oracle_series.py, which shares no code with the engine.
+The consistency class and the table fuzz check the engine against the
+weighted flow count in tests/flow_count.py, which shares no code with the
+engine; the fuzz draws exponent tables on up to five variables.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ct_var_reference
-import oracle_series
+import flow_count
 import rationals
 from ct_forge.ctengine import (
     FactoredRational,
@@ -312,25 +313,54 @@ def two_var_integrand(p, q, r, w, flip=False):
     return rational(one, [(b, e) for b, e in factors if e > 0])
 
 
-class TestSeriesOracleConsistency:
+class TestFlowCountConsistency:
     @pytest.mark.parametrize("p,q,r,w", [
         pqrw for pqrw in itertools.product(range(3), range(4), range(3), range(3))
     ])
     def test_two_variable_grid(self, p, q, r, w):
         got = ct_iterated(two_var_integrand(p, q, r, w))
-        assert got == oracle_series.series_ct2(p, q, r, w)
+        assert got == flow_count.uniform_count(2, p, q, r, w)
 
     @pytest.mark.parametrize("p,q,r,w", [(0, 2, 1, 0), (1, 2, 1, 1), (1, 2, 2, 2)])
     def test_flipped_pair_orientation(self, p, q, r, w):
+        # (x1 - x2)^-r is (-1)^r (x2 - x1)^-r
         got = ct_iterated(two_var_integrand(p, q, r, w, flip=True))
-        assert got == oracle_series.series_ct2_flipped_pair(p, q, r, w)
+        assert got == (-1) ** r * flow_count.uniform_count(2, p, q, r, w)
 
     def test_one_variable(self):
         for p in range(4):
             for q in range(4):
                 factors = [(b, e) for b, e in [(x1, p), (one - x1, q)] if e > 0]
                 got = ct_iterated(rational(one, factors))
-                assert got == oracle_series.series_ct1(p, q)
+                assert got == flow_count.uniform_count(1, p, q, 0, 0)
+
+
+@st.composite
+def exponent_tables(draw):
+    """(b, a, m, q) on 1-5 vertices: b_j, a_j in 0-3 and m_jk, q_jk in 0-2,
+    capped at 1 on five vertices so that each example stays small."""
+    n = draw(st.integers(1, 5))
+    per_vertex = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    per_pair = st.fixed_dictionaries({pair: st.integers(0, 1 if n == 5 else 2)
+                                      for pair in itertools.combinations(range(n), 2)})
+    return draw(per_vertex), draw(per_vertex), draw(per_pair), draw(per_pair)
+
+
+def table_integrand(b, a, m, q):
+    """prod_j x_j^-b_j (1-x_j)^-a_j prod_{j<k} (x_k-x_j)^-m_jk (1-x_k-x_j)^-q_jk"""
+    xs = [Poly.var(j) for j in range(len(b))]
+    factors = [(xj, b_j) for xj, b_j in zip(xs, b)]
+    factors += [(one - xj, a_j) for xj, a_j in zip(xs, a)]
+    for j, k in m:
+        factors += [(xs[k] - xs[j], m[j, k]), (one - xs[k] - xs[j], q[j, k])]
+    return rational(one, [(base, e) for base, e in factors if e])
+
+
+class TestTableFuzz:
+    @given(exponent_tables())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_engine_equals_flow_count(self, table):
+        assert ct_iterated(table_integrand(*table)) == flow_count.table_count(*table)
 
 
 class TestCtIterated:

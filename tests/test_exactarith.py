@@ -196,7 +196,7 @@ class TestMorrisRhs:
         assert morris_rhs(1, 0, 0, 1) == 0
 
     def test_known_values(self):
-        # cross-checked against the series oracle (n = 2) and the contour
+        # cross-checked against an exact series expansion (n = 2) and the contour
         # quadrature (n = 3) before being frozen here
         assert morris_rhs(2, 2, 0, 1) == 2
         assert morris_rhs(2, 3, 2, 2) == 300

@@ -1,5 +1,7 @@
 """Tests for the identity catalog: spec validation, integrand construction,
-closed forms, and the pair-factor orientation pinned by the series oracle."""
+closed forms, and the pair-factor orientation pinned by the weighted flow
+count of tests/flow_count.py, which counts the x integrands without the
+substitution chain."""
 
 import itertools
 import json
@@ -8,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 import flow_count
-import oracle_series
 from ct_forge import ctengine, polyring
 from ct_forge.ctengine import ct_iterated, ct_var
 from ct_forge.errors import BudgetError, DomainError, ParseError
@@ -171,21 +172,23 @@ class TestBuildIntegrand:
 
 class TestOrientationPin:
     """The pair orientation (x_k - x_j) for j < k is the one that makes the
-    thm family true; the series oracle decides, not the engine."""
+    thm family true; the flow count decides, not the engine."""
 
     @pytest.mark.parametrize("a,value", [(1, 2), (2, 32), (3, 512)])
     def test_thm_n2_twoc1(self, a, value):
-        spec = IdentitySpec.create("thm", 2, a=a, twoc=1)
+        twoc = 1
+        spec = IdentitySpec.create("thm", 2, a=a, twoc=twoc)
         lhs = ct_iterated(build_integrand(spec))
-        assert lhs == oracle_series.series_ct2(a - 1, a, 1, 1) == value
-        # the flipped orientation gives the negated value at odd twoc
-        assert oracle_series.series_ct2_flipped_pair(a - 1, a, 1, 1) == -value
+        assert lhs == flow_count.uniform_count(2, a - 1, a, twoc, twoc) == value
+        # the flipped orientation, (x1 - x2)^-twoc = (-1)^twoc (x2 - x1)^-twoc,
+        # gives the negated value at odd twoc
+        assert (-1) ** twoc * flow_count.uniform_count(2, a - 1, a, twoc, twoc) == -value
 
     @pytest.mark.parametrize("a,value", [(1, 6), (2, 180), (3, 4200)])
     def test_thm_n2_twoc2(self, a, value):
         spec = IdentitySpec.create("thm", 2, a=a, twoc=2)
         assert ct_iterated(build_integrand(spec)) == value
-        assert oracle_series.series_ct2(a - 1, a, 2, 2) == value
+        assert flow_count.uniform_count(2, a - 1, a, 2, 2) == value
 
 
 class TestRhs:
@@ -303,8 +306,8 @@ class TestVerify:
             f = step
         assert refused
 
-    def test_series_oracle_agreement_n2(self):
-        # every family at n = 2 against the independent series oracle
+    def test_flow_count_agreement_n2(self):
+        # every family at n = 2 against the independent flow count
         cases = [(IdentitySpec.create("cry", 2), (0, 2, 1, 0)),
                  (IdentitySpec.create("mm", 2), (1, 2, 1, 1))]
         for a in range(4):
@@ -318,7 +321,7 @@ class TestVerify:
                               (a - 1, a, twoc, twoc)))
         for spec, (p, q, r, w) in cases:
             lhs = ct_iterated(build_integrand(spec))
-            assert lhs == oracle_series.series_ct2(p, q, r, w), spec
+            assert lhs == flow_count.uniform_count(2, p, q, r, w), spec
             assert lhs == rhs(spec), spec
 
 
@@ -333,13 +336,16 @@ _FLOW_GRID += [("thm", n, {"a": a, "twoc": twoc}) for n in (1, 2, 3, 4)
 
 class TestFlowCount:
     """The exact engine against the weighted flow count of tests/flow_count.py,
-    which shares no code with the package."""
+    which shares no code with the package: the x count of every family
+    integrand, and for thm and mm also the t count, which rests on the chain."""
 
     def test_family_integrands(self):
         for family, n, kwargs in _FLOW_GRID:
             spec = IdentitySpec.create(family, n, **kwargs)
-            assert ct_iterated(build_integrand(spec)) == flow_count.family_count(
-                family, n, spec.a, spec.b, spec.twoc), spec
+            x_count = flow_count.family_count(family, n, spec.a, spec.b, spec.twoc)
+            assert ct_iterated(build_integrand(spec)) == x_count, spec
+            if family in ("mm", "thm"):
+                assert flow_count.thm_count(n, spec.a, spec.twoc) == x_count, spec
 
     @pytest.mark.parametrize("n,a,twoc", [
         (n, a, twoc) for n in (1, 2, 3) for a in (1, 2, 3) for twoc in (1, 2)])

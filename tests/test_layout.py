@@ -7,7 +7,8 @@ imports no underscore name from another package module, and contour builds
 no polynomial.  Every public top-level function and class, and every public
 method of a public class, must be used by the package itself, not only by
 tests; a method counts as used when the package reads its name.  No module
-reads an environment variable: limits are constants or arguments.
+reads an environment variable: limits are constants or arguments.  The
+exact reference in tests/flow_count.py imports nothing from the package.
 """
 
 import ast
@@ -100,6 +101,14 @@ def test_no_environment_variable_is_read():
              or (isinstance(node, ast.ImportFrom) and node.module == "os"
                  and {"environ", "getenv"} & {alias.name for alias in node.names})]
     assert reads == []
+
+
+def test_flow_count_imports_no_package_module():
+    path = Path(__file__).resolve().parent / "flow_count.py"
+    package = [f"flow_count.py:{line} imports {module}"
+               for line, module in _imports(ast.walk(_tree(path)))
+               if module.split(".")[0] == "ct_forge"]
+    assert not package, package
 
 
 def test_sources_found():
